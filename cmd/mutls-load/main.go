@@ -1,6 +1,6 @@
 // Command mutls-load load-tests the multi-tenant speculation service and
-// emits a JSON report of throughput, latency percentiles and verification
-// counts. By default it starts an in-process server (serve.Server over a
+// emits a JSON report of goodput, shed rate, latency percentiles and
+// verification counts. By default it starts an in-process server (serve.Server over a
 // pool.Pool) on a loopback port, drives it, and checks for a clean drain
 // — the CI smoke for the serving layer. Point -url at a running
 // examples/server instance to drive it over the network instead.

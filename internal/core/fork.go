@@ -242,7 +242,7 @@ func (h *ForkHandle) Start(region RegionFunc) {
 		startAt = fa
 	}
 	h.child.td.state.Store(cpuRunning)
-	h.child.tasks <- specTask{region: region, startAt: startAt}
+	h.child.post(specTask{region: region, startAt: startAt})
 }
 
 // getRegvar is MUTLS_get_regvar_* on the child side (the stub), or the

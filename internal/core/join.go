@@ -178,8 +178,8 @@ func (t *Thread) Join(ranks []Rank, p int) JoinResult {
 	td := &child.td
 	cost := t.clock.Model
 
-	// Signal SYNC and wait for valid_status (the flag-based barrier; a
-	// short spin, then parked on the child's gate).
+	// Signal SYNC and wait for valid_status (the flag-based barrier: a
+	// spin, then parked on the child's gate).
 	t.clock.Charge(vclock.Join, cost.SyncCost)
 	td.syncTime.Store(t.clock.Now())
 	if !td.signal(ref.epoch, syncSync) {

@@ -120,8 +120,9 @@ type threadData struct {
 
 	// gate parks whoever waits on this CPU's published flags: the parent
 	// waiting for validStatus or workerDone, the worker waiting for
-	// sync_status. Wakers call gate.wake after every store those waits
-	// observe (signal, validStatus, workerDone).
+	// sync_status or for its next task. Wakers call gate.wake after every
+	// store those waits observe (signal, validStatus, workerDone, the
+	// mailbox, Close).
 	gate waitGate
 
 	// Owned by the speculating (child) thread while RUNNING; read by the
@@ -181,17 +182,22 @@ func tailWord(rank Rank, epoch uint64) uint64 {
 
 // cpu bundles one virtual CPU: its ThreadData, GlobalBuffer and LocalBuffer
 // (the paper's ThreadManager maintains exactly this triple per CPU), plus
-// the worker channel and the virtual time at which the CPU becomes free.
-// The GlobalBuffer is held behind the gbuf.Backend interface, so the
+// the worker's task mailbox and the virtual time at which the CPU becomes
+// free. The GlobalBuffer is held behind the gbuf.Backend interface, so the
 // buffering organization is a per-runtime choice (Options.GBuf.Backend).
 type cpu struct {
 	td     threadData
 	gb     gbuf.Backend
 	lb     *lbuf.Buffer
-	tasks  chan specTask
 	freeAt atomic.Int64 // virtual time when the CPU is next available
 	rng    splitMix64
 	stack  mem.Range // this CPU's speculative stack region
+	// mail is the one-slot task mailbox: Start fills it and publishes
+	// mailFull, the worker takes the task and clears the flag before it
+	// runs it. One slot suffices — the CPU is claimed again only after its
+	// worker is done with the previous execution.
+	mail     specTask
+	mailFull atomic.Bool
 	// scratch backs the typed bulk accessors (Thread.LoadWords and
 	// friends); it persists across speculations so the range hot path
 	// stays alloc-free.
@@ -340,7 +346,8 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		return nil, err
 	}
 	rt.nonSpecStackTop = r0.Start
-	rt.drainGate.init()
+	spin := spinBudget(o)
+	rt.drainGate.init(spin)
 	rt.pointLive = make([]bool, o.MaxPoints)
 	rt.cpuLimit.Store(int32(o.NumCPUs))
 	if o.NumCPUs > 0 {
@@ -383,12 +390,11 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		c := &cpu{
 			gb:    gb,
 			lb:    lb,
-			tasks: make(chan specTask, 1),
 			rng:   newSplitMix64(o.Seed ^ (uint64(r) * 0x9E3779B97F4A7C15)),
 			stack: stack,
 		}
 		c.td.rank = Rank(r)
-		c.td.gate.init()
+		c.td.gate.init(spin)
 		c.td.forkRegs = make([]uint64, o.LBuf.RegSlots)
 		c.td.forkLive = make([]bool, o.LBuf.RegSlots)
 		c.dirtyFn = func(base mem.Addr, nBytes int) bool {
@@ -405,6 +411,20 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		go rt.watchdog()
 	}
 	return rt, nil
+}
+
+// spinBudget is the timed spin every wait of the runtime adds before
+// parking (waitGate). It is realSpinBudget when the workers and the
+// non-speculative thread each have a schedulable thread of their own —
+// Real timing under a CPU cap, with fewer virtual CPUs than GOMAXPROCS —
+// and 0 otherwise: under Virtual timing or RealCPUsUncapped (pooled
+// runtimes share the host budget) the workers may outnumber the cores,
+// and a spinning waiter would steal the core its peer needs.
+func spinBudget(o Options) time.Duration {
+	if o.Timing == vclock.Real && o.RealCPUCap != RealCPUsUncapped && o.NumCPUs < runtime.GOMAXPROCS(0) {
+		return realSpinBudget
+	}
+	return 0
 }
 
 // Space exposes the simulated address space (for setup code and tests).
@@ -773,8 +793,10 @@ func (rt *Runtime) Close() {
 		close(rt.watchdogQuit)
 		<-rt.watchdogDone
 	}
+	// The closed flag is published above; wake every worker waiting on
+	// its mailbox so it observes it and exits.
 	for r := 1; r <= rt.opts.NumCPUs; r++ {
-		close(rt.cpus[r].tasks)
+		rt.cpus[r].td.gate.wake()
 	}
 	rt.wg.Wait()
 }
@@ -827,13 +849,29 @@ func (rt *Runtime) watchdog() {
 	}
 }
 
-// worker is a virtual CPU's goroutine: it waits for speculations and runs
-// them through the stop/validate/commit protocol.
+// worker is a virtual CPU's goroutine: it waits on the CPU's mailbox for
+// speculations and runs them through the stop/validate/commit protocol,
+// until Close. A posted task wins over Close.
 func (rt *Runtime) worker(c *cpu) {
 	defer rt.wg.Done()
-	for task := range c.tasks {
+	ready := func() bool { return c.mailFull.Load() || rt.closed.Load() }
+	for {
+		c.td.gate.idle(ready)
+		if !c.mailFull.Load() {
+			return
+		}
+		task := c.mail
+		c.mail = specTask{} // drop the region closure until the next fork
+		c.mailFull.Store(false)
 		rt.runSpec(c, task)
 	}
+}
+
+// post hands a task to the CPU's worker (MUTLS_speculate's handoff).
+func (c *cpu) post(task specTask) {
+	c.mail = task
+	c.mailFull.Store(true)
+	c.td.gate.wake()
 }
 
 // regionOutcome describes how a region execution ended.
@@ -989,7 +1027,7 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 	td.gate.wake()
 }
 
-// waitSync waits (spin prefix, then parked) until the parent signals SYNC
+// waitSync waits (spin, then parked) until the parent signals SYNC
 // or NOSYNC. In real mode the wait is booked as idle (or overflow) time.
 func (rt *Runtime) waitSync(t *Thread, c *cpu) uint64 {
 	phase := vclock.Idle

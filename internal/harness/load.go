@@ -1,8 +1,8 @@
 // Load driver for the speculation service: a wrk-style closed-loop
 // generator that hammers a serve.Server over HTTP with a fixed number of
-// concurrent clients, verifies every response, and reports throughput and
-// latency percentiles as a JSON document — the serving-side counterpart
-// of the wall-clock suite.
+// concurrent clients, verifies every response, and reports goodput, shed
+// rate and latency percentiles as a JSON document — the serving-side
+// counterpart of the wall-clock suite.
 package harness
 
 import (
@@ -91,10 +91,16 @@ type LoadReport struct {
 	// Overloaded unless every attempt shed).
 	Retries int64 `json:"retries"`
 
-	// WallNS is the whole run's wall time; ThroughputRPS counts completed
-	// (OK + Overloaded) responses per second over it.
+	// WallNS is the whole run's wall time. GoodputRPS counts verified 200
+	// responses (OK, degraded included) per second over it — the served
+	// work. ThroughputRPS counts every final response per second, the 503
+	// sheds that exhausted their retries included, so it overstates the
+	// served work whenever the pool sheds. ShedRate is the share of
+	// attempts (retries included) answered with a 503 shed.
 	WallNS        int64   `json:"wall_ns"`
 	ThroughputRPS float64 `json:"throughput_rps"`
+	GoodputRPS    float64 `json:"goodput_rps"`
+	ShedRate      float64 `json:"shed_rate"`
 
 	// Latency percentiles over OK responses only, nanoseconds.
 	LatencyP50NS int64 `json:"latency_p50_ns"`
@@ -209,7 +215,15 @@ func RunLoad(ctx context.Context, client *http.Client, baseURL string, cfg LoadC
 		rep.LatencyMaxNS = all[n-1]
 	}
 	if rep.WallNS > 0 {
-		rep.ThroughputRPS = float64(rep.OK+rep.Overloaded) / (float64(rep.WallNS) / 1e9)
+		secs := float64(rep.WallNS) / 1e9
+		rep.ThroughputRPS = float64(rep.OK+rep.Overloaded) / secs
+		rep.GoodputRPS = float64(rep.OK) / secs
+	}
+	// Every retry answers one shed attempt; every request ends in exactly
+	// one final outcome.
+	sheds := rep.Overloaded + rep.Retries
+	if attempts := rep.OK + rep.Overloaded + rep.Unverified + rep.Errors + rep.Retries; attempts > 0 {
+		rep.ShedRate = float64(sheds) / float64(attempts)
 	}
 	return rep, ctx.Err()
 }

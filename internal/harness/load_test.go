@@ -2,7 +2,10 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 
@@ -71,7 +74,8 @@ func TestRunLoad(t *testing.T) {
 
 // TestRunLoadShedding: a no-queue pool under more clients than runtimes
 // sheds with 503s, which the driver classifies as backpressure, not
-// errors.
+// errors. Goodput counts only the verified 200s, while throughput also
+// counts the 503s; the shed rate is the 503 share of all attempts.
 func TestRunLoadShedding(t *testing.T) {
 	s, err := serve.New(serve.Options{Pool: pool.Options{
 		Runtimes:   1,
@@ -108,6 +112,17 @@ func TestRunLoadShedding(t *testing.T) {
 	}
 	if rep.OK == 0 {
 		t.Error("every request was shed")
+	}
+	secs := float64(rep.WallNS) / 1e9
+	if want := float64(rep.OK) / secs; math.Abs(rep.GoodputRPS-want) > 1e-9*want {
+		t.Errorf("goodput %.3f rps, want %d OKs / %.3fs = %.3f", rep.GoodputRPS, rep.OK, secs, want)
+	}
+	if rep.Overloaded > 0 && rep.GoodputRPS >= rep.ThroughputRPS {
+		t.Errorf("goodput %.3f rps not below throughput %.3f rps despite %d sheds",
+			rep.GoodputRPS, rep.ThroughputRPS, rep.Overloaded)
+	}
+	if want := float64(rep.Overloaded) / float64(rep.Requests); math.Abs(rep.ShedRate-want) > 1e-12 {
+		t.Errorf("shed rate %v, want %d/%d", rep.ShedRate, rep.Overloaded, rep.Requests)
 	}
 }
 
@@ -146,7 +161,28 @@ func TestRunLoadRetry(t *testing.T) {
 	if rep.Retries == 0 {
 		t.Error("no retries despite 8 clients contending for a 1-runtime no-queue pool")
 	}
+	// Every retry answers one more shed attempt.
+	sheds, attempts := rep.Overloaded+rep.Retries, int64(rep.Requests)+rep.Retries
+	if want := float64(sheds) / float64(attempts); math.Abs(rep.ShedRate-want) > 1e-12 {
+		t.Errorf("shed rate %v, want %d/%d", rep.ShedRate, sheds, attempts)
+	}
 	if rep.OK == 0 {
 		t.Error("every request was shed")
+	}
+}
+
+// TestLoadBaselineStillDecodes: the committed BENCH_load.json predates
+// goodput_rps and shed_rate; the new fields are additive, so it decodes.
+func TestLoadBaselineStillDecodes(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_load.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep LoadReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Suite != "mutls-load" || rep.ThroughputRPS <= 0 {
+		t.Fatalf("decoded %+v", rep)
 	}
 }

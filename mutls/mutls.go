@@ -188,13 +188,6 @@ type Options struct {
 	// backend with default sizing.
 	Buffering Buffering
 
-	// Deprecated: GBufLogWords and GBufOverflowCap are aliases for
-	// Buffering.LogWords and Buffering.OverflowCap (the openaddr backend's
-	// sizing), kept for programs written before the backend was pluggable.
-	// They are ignored when the corresponding Buffering field is set.
-	GBufLogWords    int
-	GBufOverflowCap int
-
 	// RegSlots and StackSlots size the per-CPU LocalBuffer frames.
 	RegSlots   int
 	StackSlots int
@@ -239,6 +232,7 @@ func (o Options) coreOptions() core.Options {
 		AdaptiveForkHeuristic: o.AdaptiveForkHeuristic,
 		SpecDeadline:          o.SpecDeadline,
 		FaultPlan:             o.FaultPlan,
+		GBuf:                  o.Buffering,
 	}
 	if o.StaticBytes != 0 || o.HeapBytes != 0 || o.StackBytes != 0 {
 		// Unset sizes keep the core defaults.
@@ -251,20 +245,6 @@ func (o Options) coreOptions() core.Options {
 		}
 		if o.StackBytes != 0 {
 			co.Space.StackBytes = o.StackBytes
-		}
-	}
-	co.GBuf = o.Buffering
-	// The deprecated aliases fill openaddr sizing the Buffering config
-	// leaves unset; remaining zero fields select the gbuf defaults. They
-	// are openaddr fields, so they apply only when that backend (or the
-	// empty default, which resolves to it) is selected — copying them into
-	// a chain/bitmap config would silently pollute that backend's sizing.
-	if co.GBuf.Backend == "" || co.GBuf.Backend == gbuf.DefaultBackend {
-		if co.GBuf.LogWords == 0 {
-			co.GBuf.LogWords = o.GBufLogWords
-		}
-		if co.GBuf.OverflowCap == 0 {
-			co.GBuf.OverflowCap = o.GBufOverflowCap
 		}
 	}
 	if o.RegSlots != 0 || o.StackSlots != 0 {

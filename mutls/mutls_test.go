@@ -407,11 +407,6 @@ func TestPartialBufferOptions(t *testing.T) {
 		t.Fatalf("RegSlots-only options rejected: %v", err)
 	}
 	rt.Close()
-	rt, err = mutls.New(mutls.Options{CPUs: 2, GBufLogWords: 10})
-	if err != nil {
-		t.Fatalf("GBufLogWords-only options rejected: %v", err)
-	}
-	rt.Close()
 }
 
 // --- Buffering backends ---
@@ -467,39 +462,6 @@ func TestBufferingValidation(t *testing.T) {
 		if _, err := mutls.New(mutls.Options{CPUs: 2, Buffering: buf}); err == nil {
 			t.Errorf("Buffering %+v accepted", buf)
 		}
-	}
-}
-
-// TestGBufAliasStillWorks: the deprecated GBufLogWords/GBufOverflowCap
-// fields keep configuring the openaddr backend, and an explicit Buffering
-// field wins over the alias.
-func TestGBufAliasStillWorks(t *testing.T) {
-	// Alias values flow into the real config: an out-of-range LogWords via
-	// the alias must error exactly like the Buffering field would.
-	if _, err := mutls.New(mutls.Options{CPUs: 2, GBufLogWords: 40}); err == nil {
-		t.Fatal("out-of-range GBufLogWords accepted through the alias")
-	}
-	// Buffering wins over the alias when both are set.
-	shadowed, err := mutls.New(mutls.Options{
-		CPUs:         2,
-		GBufLogWords: 40, // invalid, but shadowed by Buffering.LogWords
-		Buffering:    mutls.Buffering{LogWords: 10},
-	})
-	if err != nil {
-		t.Fatalf("Buffering.LogWords did not shadow the alias: %v", err)
-	}
-	shadowed.Close()
-	rt := newRuntime(t, 2, func(o *mutls.Options) {
-		o.GBufLogWords = 12
-		o.GBufOverflowCap = 32
-	})
-	const n, chunks = 1024, 8
-	want := int64(0)
-	for i := 0; i < n; i++ {
-		want += int64(i)*7 + 3
-	}
-	if got := forFill(rt, n, chunks, mutls.InOrder); got != want {
-		t.Fatalf("alias-configured runtime sum = %d, want %d", got, want)
 	}
 }
 
