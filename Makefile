@@ -7,7 +7,7 @@ GO ?= go
 # checker vocabulary or the gate flaps across versions.
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: all build test race vet vet-fast fmt mutls-vet staticcheck bench-smoke chaos
+.PHONY: all build test race vet vet-fast fmt mutls-vet staticcheck bench-smoke chaos loc
 
 # Seed for the deterministic fault-injection sweep; override to replay a
 # failing CI run: `make chaos CHAOS_SEED=<seed from the log>`.
@@ -69,3 +69,9 @@ bench-smoke:
 # containment and zero goroutine leaks. Fully reproducible from the seed.
 chaos:
 	$(GO) run -race ./cmd/mutls-bench -chaos -quick -seed $(CHAOS_SEED)
+
+# loc prints the non-test Go line count that deletion work is measured
+# by: tracked .go files minus _test.go files, testdata and perfbench/.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '/testdata/' -e '^testdata/' -e '^perfbench/' | \
+		xargs cat | wc -l

@@ -9,7 +9,7 @@
 //	mutls-bench -fig gbuf        # GlobalBuffer backend ablation table
 //	mutls-bench -fig chunks      # static vs adaptive chunk-sizing ablation
 //	mutls-bench -fig pipeline    # pipeline + float-reduction kernels, models x backends
-//	mutls-bench -gbuf chain      # run everything on the chain backend
+//	mutls-bench -gbuf bitmap     # run everything on the bitmap backend
 //	mutls-bench -chunks adaptive # feedback-driven chunk sizing for all runs
 //	mutls-bench -coverage        # the §V-B parallel coverage numbers
 //	mutls-bench -paper           # Table II problem sizes (slow)

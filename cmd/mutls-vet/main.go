@@ -12,13 +12,9 @@
 //	go run ./cmd/mutls-vet -fast ./...    # per-package analyzers only
 //	go run ./cmd/mutls-vet -timing ./...  # wall time per analyzer
 //
-// It is also usable as a go vet tool:
-//
-//	go vet -vettool=$(pwd)/bin/mutls-vet ./...
-//
-// In that mode the go command invokes the binary once per package with a
-// .cfg file (the unitchecker protocol); diagnostics go to stderr and a
-// non-zero exit fails the vet run.
+// It loads the whole module at once so the interprocedural analyzers see
+// every package. It is not a `go vet -vettool`: that protocol's flags and
+// .cfg arguments are usage errors.
 //
 // Exit status: 0 when clean, 1 on findings, 2 on usage or load errors.
 // Suppress individual findings with a justified directive:
@@ -32,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,32 +38,13 @@ import (
 	"repro/internal/analysis/load"
 )
 
-const version = "mutls-vet version 1.0.0"
-
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	// go vet -vettool handshake: `mutls-vet -V=full` prints a version
-	// stamp; a trailing *.cfg argument selects unitchecker mode.
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" || a == "-V" {
-			fmt.Println(version)
-			return 0
-		}
-		if a == "-flags" || a == "--flags" {
-			// go vet asks which tool flags it may forward; none of the
-			// standard vet analyzers' flags apply to this suite.
-			fmt.Println("[]")
-			return 0
-		}
-	}
-	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		return unitcheck(args[n-1])
-	}
-
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mutls-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		listFlag   = fs.Bool("list", false, "print the analyzers and their diagnostic codes, then exit")
 		jsonFlag   = fs.Bool("json", false, "emit findings as a JSON array instead of text")
@@ -77,7 +55,7 @@ func run(args []string) int {
 		timingFlag = fs.Bool("timing", false, "print per-analyzer wall time to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mutls-vet [flags] [packages]")
+		fmt.Fprintln(stderr, "usage: mutls-vet [flags] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -86,7 +64,7 @@ func run(args []string) int {
 
 	if *listFlag {
 		for _, a := range driver.Analyzers() {
-			fmt.Printf("%-12s %s  %s\n", a.Name, strings.Join(a.Codes, ","), a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s  %s\n", a.Name, strings.Join(a.Codes, ","), a.Doc)
 		}
 		return 0
 	}
@@ -97,7 +75,7 @@ func run(args []string) int {
 	}
 	analyzers, err := driver.ByName(names)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+		fmt.Fprintln(stderr, "mutls-vet:", err)
 		return 2
 	}
 	if *fastFlag {
@@ -108,13 +86,13 @@ func run(args []string) int {
 	if root == "" {
 		root, err = findModuleRoot()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+			fmt.Fprintln(stderr, "mutls-vet:", err)
 			return 2
 		}
 	}
 	l, err := load.New(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+		fmt.Fprintln(stderr, "mutls-vet:", err)
 		return 2
 	}
 	l.IncludeTests = *testsFlag
@@ -125,25 +103,25 @@ func run(args []string) int {
 	}
 	pkgs, err := l.Patterns(patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+		fmt.Fprintln(stderr, "mutls-vet:", err)
 		return 2
 	}
 	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "mutls-vet: %s: %v\n", pkg.Path, terr)
+			fmt.Fprintf(stderr, "mutls-vet: %s: %v\n", pkg.Path, terr)
 		}
 	}
 
 	diags, timings, err := driver.RunTimed(pkgs, analyzers, false)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+		fmt.Fprintln(stderr, "mutls-vet:", err)
 		return 2
 	}
 	if *timingFlag {
 		// Stderr so the breakdown composes with -json on stdout; CI tees
 		// it into the job summary.
 		for _, tm := range timings {
-			fmt.Fprintf(os.Stderr, "mutls-vet: timing %-13s %8.1fms\n", tm.Name, float64(tm.Elapsed.Microseconds())/1000)
+			fmt.Fprintf(stderr, "mutls-vet: timing %-13s %8.1fms\n", tm.Name, float64(tm.Elapsed.Microseconds())/1000)
 		}
 	}
 
@@ -165,19 +143,19 @@ func run(args []string) int {
 			}
 			out = append(out, finding{rel, p.Line, p.Column, d.Code, d.Message, d.Analyzer})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "mutls-vet:", err)
+			fmt.Fprintln(stderr, "mutls-vet:", err)
 			return 2
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(relFormat(root, l, d))
+			fmt.Fprintln(stdout, relFormat(root, l, d))
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "mutls-vet: %d finding(s)\n", len(diags))
+		fmt.Fprintf(stderr, "mutls-vet: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0

@@ -63,9 +63,7 @@ type Pass struct {
 	// Inter carries the cross-package analysis state for analyzers with
 	// NeedsInter — concretely an *effects.Index built over every package
 	// in the batch (typed as any to keep this package dependency-free).
-	// It is nil when the driver could not see the whole module (the go
-	// vet unitchecker protocol runs one package at a time) or in fast
-	// mode; consumers must degrade to per-package scope then.
+	// The driver always sets it for NeedsInter analyzers.
 	Inter any
 }
 
@@ -92,8 +90,8 @@ func (d Diagnostic) Position(fset *token.FileSet) token.Position {
 	return fset.Position(d.Pos)
 }
 
-// String formats the diagnostic in the file:line:col: CODE: message form
-// used by cmd/mutls-vet.
+// Format renders the diagnostic in the file:line:col: CODE: message
+// (analyzer) form.
 func (d Diagnostic) Format(fset *token.FileSet) string {
 	p := fset.Position(d.Pos)
 	return fmt.Sprintf("%s:%d:%d: %s: %s (%s)", p.Filename, p.Line, p.Column, d.Code, d.Message, d.Analyzer)

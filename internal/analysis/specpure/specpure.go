@@ -22,6 +22,7 @@
 package specpure
 
 import (
+	"errors"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -68,12 +69,7 @@ var exemptPkgs = map[string]bool{
 func run(pass *analysis.Pass) error {
 	idx, _ := pass.Inter.(*effects.Index)
 	if idx == nil {
-		// Per-package fallback (unitchecker protocol / fast callers that
-		// still run us): summaries cover this package's own functions plus
-		// the stdlib table; cross-package module helpers degrade to pure.
-		idx = effects.NewIndex([]effects.Source{{
-			Pkg: pass.Pkg, Info: pass.TypesInfo, Files: pass.Files,
-		}}, effects.WithExempt(Exempt))
+		return errors.New("no effect index in Pass.Inter (run through the driver)")
 	}
 	for _, k := range kernelutil.Find(pass) {
 		checkKernel(pass, idx, k)

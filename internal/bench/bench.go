@@ -136,7 +136,7 @@ type RunConfig struct {
 func (cfg RunConfig) options(w *Workload) mutls.Options {
 	buf := cfg.Buffering
 	// The suite's openaddr sizing defaults apply only to that backend;
-	// chain/bitmap configs keep their own sizing untouched.
+	// bitmap configs keep their own sizing untouched.
 	if buf.Backend == "" || buf.Backend == "openaddr" {
 		if buf.LogWords == 0 {
 			buf.LogWords = 16

@@ -3,16 +3,15 @@ package gbuf
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 )
 
 // Backend is the speculative-buffering contract every GlobalBuffer
 // implementation satisfies. The runtime (internal/core) programs against
-// this interface only; concrete organizations — the paper's static
-// open-addressing maps, dynamically chained buckets, per-page bitmaps —
-// are selected by name through the registry below.
+// this interface only; the two organizations — the paper's static
+// open-addressing maps and per-page bitmaps — are selected by name through
+// NewBackend.
 //
 // Semantics shared by all backends:
 //
@@ -83,60 +82,28 @@ type Backend interface {
 	Counters() *Counters
 }
 
-// Constructor builds a Backend over an arena from a (defaulted, but not yet
-// validated) Config. Constructors must reject invalid sizing with an error
-// rather than panicking or silently mis-sizing.
-type Constructor func(arena *mem.Arena, cfg Config) (Backend, error)
-
-var registry = map[string]Constructor{}
-
-// Register adds a backend constructor under a unique name. It is intended
-// to be called from init functions; duplicate names panic.
-func Register(name string, ctor Constructor) {
-	if name == "" || ctor == nil {
-		panic("gbuf: Register with empty name or nil constructor")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("gbuf: backend %q registered twice", name))
-	}
-	registry[name] = ctor
-}
-
-// Backends returns the registered backend names, sorted.
-func Backends() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // DefaultBackend is the backend selected by an empty Config.Backend: the
 // paper's open-addressing design.
 const DefaultBackend = "openaddr"
 
-// NewBackend dispatches cfg.Backend through the registry. An empty name
-// selects DefaultBackend. Sizing fields are validated by the constructor;
-// callers that want zero fields filled use Config.WithDefaults first.
-func NewBackend(arena *mem.Arena, cfg Config) (Backend, error) {
-	name := cfg.Backend
-	if name == "" {
-		name = DefaultBackend
-	}
-	ctor, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("gbuf: unknown backend %q (registered: %v)", name, Backends())
-	}
-	return ctor(arena, cfg)
-}
+// Backends returns the backend names, sorted.
+func Backends() []string { return []string{"bitmap", "openaddr"} }
 
-func init() {
-	Register("openaddr", func(arena *mem.Arena, cfg Config) (Backend, error) {
-		return New(arena, cfg)
-	})
-	Register("chain", newChainBackend)
-	Register("bitmap", newBitmapBackend)
+// NewBackend builds the backend cfg.Backend names. An empty name selects
+// DefaultBackend. Sizing fields are validated by the constructor; callers
+// that want zero fields filled use Config.WithDefaults first.
+func NewBackend(arena *mem.Arena, cfg Config) (Backend, error) {
+	switch cfg.Backend {
+	case "", "openaddr":
+		b, err := New(arena, cfg)
+		if err != nil {
+			return nil, err // not a typed-nil *Buffer inside the interface
+		}
+		return b, nil
+	case "bitmap":
+		return newBitmapBackend(arena, cfg)
+	}
+	return nil, fmt.Errorf("gbuf: unknown backend %q (valid: %v)", cfg.Backend, Backends())
 }
 
 // Add accumulates another counter set into c (used to aggregate per-CPU

@@ -9,7 +9,7 @@ import (
 
 func TestBackendsRegistered(t *testing.T) {
 	got := Backends()
-	want := []string{"bitmap", "chain", "openaddr"}
+	want := []string{"bitmap", "openaddr"}
 	if len(got) != len(want) {
 		t.Fatalf("Backends() = %v, want %v", got, want)
 	}
@@ -33,9 +33,13 @@ func TestNewBackendDefaultsToOpenaddr(t *testing.T) {
 
 func TestNewBackendUnknownName(t *testing.T) {
 	arena, _ := mem.NewArena(1 << 12)
-	_, err := NewBackend(arena, Config{Backend: "cuckoo"})
-	if err == nil || !strings.Contains(err.Error(), "cuckoo") {
-		t.Fatalf("unknown backend error = %v", err)
+	// "chain" is a retired backend name: rejected like any typo.
+	for _, name := range []string{"cuckoo", "chain"} {
+		b, err := NewBackend(arena, Config{Backend: name})
+		if b != nil || err == nil || !strings.Contains(err.Error(), name) ||
+			!strings.Contains(err.Error(), "[bitmap openaddr]") {
+			t.Fatalf("NewBackend(%q) = %v, %v; want an error naming it and [bitmap openaddr]", name, b, err)
+		}
 	}
 }
 
@@ -49,8 +53,6 @@ func TestConfigValidationAtConstruction(t *testing.T) {
 		{"openaddr negative LogWords", Config{Backend: "openaddr", LogWords: -3, OverflowCap: 4}},
 		{"openaddr LogWords over 30", Config{Backend: "openaddr", LogWords: 31, OverflowCap: 4}},
 		{"openaddr negative OverflowCap", Config{Backend: "openaddr", LogWords: 8, OverflowCap: -2}},
-		{"chain zero LogBuckets", Config{Backend: "chain", LogBuckets: 0}},
-		{"chain LogBuckets over 30", Config{Backend: "chain", LogBuckets: 31}},
 		{"bitmap zero PageWords", Config{Backend: "bitmap", PageWords: 0}},
 		{"bitmap negative PageWords", Config{Backend: "bitmap", PageWords: -8}},
 		{"bitmap non-power-of-two PageWords", Config{Backend: "bitmap", PageWords: 48}},
@@ -87,12 +89,12 @@ func TestNoOverflowSentinel(t *testing.T) {
 func TestConfigWithDefaults(t *testing.T) {
 	d := Config{}.WithDefaults()
 	if d.Backend != DefaultBackend || d.LogWords != 16 || d.OverflowCap != 64 ||
-		d.LogBuckets != 12 || d.PageWords != 512 {
+		d.PageWords != 512 {
 		t.Fatalf("WithDefaults = %+v", d)
 	}
 	// Set fields survive.
-	c := Config{Backend: "chain", LogBuckets: 5}.WithDefaults()
-	if c.Backend != "chain" || c.LogBuckets != 5 {
+	c := Config{Backend: "bitmap", PageWords: 32}.WithDefaults()
+	if c.Backend != "bitmap" || c.PageWords != 32 {
 		t.Fatalf("WithDefaults clobbered set fields: %+v", c)
 	}
 	// Every defaulted config constructs.
@@ -101,60 +103,6 @@ func TestConfigWithDefaults(t *testing.T) {
 		if _, err := NewBackend(arena, Config{Backend: name}.WithDefaults()); err != nil {
 			t.Errorf("%s: defaulted config rejected: %v", name, err)
 		}
-	}
-}
-
-// TestChainAbsorbsCollisions: addresses that collide in every bucket just
-// chain — no Conflict, no Full, no MustStop — and all of them validate and
-// commit.
-func TestChainAbsorbsCollisions(t *testing.T) {
-	arena, _ := mem.NewArena(1 << 14)
-	b, err := NewBackend(arena, Config{Backend: "chain", LogBuckets: 1}) // 2 buckets
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 64
-	for i := 0; i < n; i++ {
-		p := mem.Addr(8 * (1 + i))
-		arena.WriteWord(p, uint64(i))
-		if v, st := b.Load(p, 8); st != OK || v != uint64(i) {
-			t.Fatalf("load %d = %d, %v", i, v, st)
-		}
-		if st := b.Store(p, 8, uint64(i)*3); st != OK {
-			t.Fatalf("store %d: %v", i, st)
-		}
-	}
-	if b.MustStop() {
-		t.Fatal("chain backend set MustStop")
-	}
-	if b.ReadSetSize() != n || b.WriteSetSize() != n {
-		t.Fatalf("set sizes %d/%d, want %d/%d", b.ReadSetSize(), b.WriteSetSize(), n, n)
-	}
-	if c := b.Counters(); c.Conflicts != 0 {
-		t.Fatalf("chain counted %d conflicts", c.Conflicts)
-	}
-	if !b.Validate() {
-		t.Fatal("validation failed without interference")
-	}
-	b.Commit(nil)
-	for i := 0; i < n; i++ {
-		if got := arena.ReadWord(mem.Addr(8 * (1 + i))); got != uint64(i)*3 {
-			t.Fatalf("commit word %d = %d", i, got)
-		}
-	}
-}
-
-// TestChainReadYourOwnWrites: a fully-written word never enters the read
-// set (same contract as openaddr).
-func TestChainReadYourOwnWrites(t *testing.T) {
-	arena, _ := mem.NewArena(1 << 12)
-	b, _ := NewBackend(arena, Config{Backend: "chain", LogBuckets: 4})
-	b.Store(64, 8, 42)
-	if v, st := b.Load(64, 8); st != OK || v != 42 {
-		t.Fatalf("read-own-write = %d, %v", v, st)
-	}
-	if b.ReadSetSize() != 0 {
-		t.Fatalf("ReadSetSize = %d after write-then-read", b.ReadSetSize())
 	}
 }
 

@@ -57,7 +57,6 @@ func bulkStressConfigs() map[string]Config {
 	return map[string]Config{
 		"openaddr":            {Backend: "openaddr", LogWords: 6, OverflowCap: 4},
 		"openaddr/nooverflow": {Backend: "openaddr", LogWords: 6, OverflowCap: NoOverflow},
-		"chain":               {Backend: "chain", LogBuckets: 3},
 		"bitmap":              {Backend: "bitmap", PageWords: 8},
 	}
 }

@@ -52,14 +52,6 @@ func setWords(t testing.TB, be Backend, write bool) []bufferedWord {
 		for k := range ov {
 			add(ov[k].base, ov[k].data[:], ov[k].mark[:])
 		}
-	case *chainBuffer:
-		s := &v.read
-		if write {
-			s = &v.write
-		}
-		for i := range s.entries {
-			add(s.entries[i].base, s.entries[i].data[:], s.entries[i].mark[:])
-		}
 	case *bitmapBuffer:
 		s := &v.read
 		if write {
@@ -118,13 +110,6 @@ func refValidateWalk(be Backend, arena *mem.Arena) bool {
 				return false
 			}
 		}
-	case *chainBuffer:
-		for i := range v.read.entries {
-			e := &v.read.entries[i]
-			if binary.LittleEndian.Uint64(e.data[:]) != arena.ReadWord(e.base) {
-				return false
-			}
-		}
 	case *bitmapBuffer:
 		return v.forEachRun(&v.read, func(base mem.Addr, data, _ []byte) bool {
 			for w := 0; w < len(data); w += mem.Word {
@@ -152,11 +137,6 @@ func refCommitWalk(be Backend, arena *mem.Arena, c *Counters) {
 		}
 		for k := range v.writeOv {
 			e := &v.writeOv[k]
-			commitWord(arena, c, e.base, e.data[:], e.mark[:], nil)
-		}
-	case *chainBuffer:
-		for i := range v.write.entries {
-			e := &v.write.entries[i]
 			commitWord(arena, c, e.base, e.data[:], e.mark[:], nil)
 		}
 	case *bitmapBuffer:
@@ -191,7 +171,7 @@ func sameArenas(t *testing.T, got, want *mem.Arena, what string) {
 }
 
 func testConfig(name string) Config {
-	return Config{Backend: name, LogWords: 10, LogBuckets: 6, PageWords: 64}.WithDefaults()
+	return Config{Backend: name, LogWords: 10, PageWords: 64}.WithDefaults()
 }
 
 // randomOps drives a backend with a mixed access pattern and returns whether

@@ -12,11 +12,10 @@
 // overflow buffer and the thread must wait to be joined at its next check
 // point; if the overflow buffer fills up, the thread rolls back.
 //
-// That design is one of several read/write-set organizations the package
-// offers: the Backend interface abstracts the buffering contract, and a
-// registry of named constructors ("openaddr" — this file's Buffer —
-// "chain" and "bitmap") lets the runtime select the organization per run.
-// See backend.go, chain.go and bitmap.go.
+// That design is one of two read/write-set organizations the package
+// offers: the Backend interface abstracts the buffering contract, and
+// NewBackend selects the organization per run by name ("openaddr" — this
+// file's Buffer — or "bitmap"). See backend.go and bitmap.go.
 package gbuf
 
 import (
@@ -184,10 +183,9 @@ type Buffer struct {
 // field literally and only validate it.
 type Config struct {
 	// Backend names the buffering organization: "openaddr" (the paper's
-	// static open-addressing maps, the default), "chain" (dynamically
-	// chained buckets, never parks on conflicts) or "bitmap" (per-page
-	// word-granularity sets with lazy page allocation). Empty selects
-	// DefaultBackend.
+	// static open-addressing maps, the default) or "bitmap" (per-page
+	// word-granularity sets with lazy page allocation, never parks on
+	// conflicts). Empty selects DefaultBackend.
 	Backend string
 
 	// LogWords sizes the openaddr maps: 1<<LogWords words each.
@@ -198,10 +196,6 @@ type Config struct {
 	// first hash conflict returns Full); the constructors treat both 0
 	// and NoOverflow as "no overflow slots".
 	OverflowCap int
-
-	// LogBuckets sizes the chain backend's bucket-head array:
-	// 1<<LogBuckets heads.
-	LogBuckets int
 
 	// PageWords is the bitmap backend's page size in words (a power of
 	// two). Pages are allocated lazily on first touch.
@@ -219,10 +213,10 @@ func DefaultConfig() Config { return Config{}.WithDefaults() }
 const NoOverflow = -1
 
 // WithDefaults fills every zero sizing field with its backend's default
-// (openaddr: 2^16 words, 64 overflow slots; chain: 2^12 buckets; bitmap:
-// 512-word pages) and an empty Backend with DefaultBackend. Validation
-// still happens at construction: explicit out-of-range values are errors,
-// never silently clamped.
+// (openaddr: 2^16 words, 64 overflow slots; bitmap: 512-word pages) and
+// an empty Backend with DefaultBackend. Validation still happens at
+// construction: explicit out-of-range values are errors, never silently
+// clamped.
 func (c Config) WithDefaults() Config {
 	if c.Backend == "" {
 		c.Backend = DefaultBackend
@@ -232,9 +226,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.OverflowCap == 0 {
 		c.OverflowCap = 64 // NoOverflow (-1) stays: parking disabled
-	}
-	if c.LogBuckets == 0 {
-		c.LogBuckets = 12
 	}
 	if c.PageWords == 0 {
 		c.PageWords = 512

@@ -10,8 +10,8 @@ import (
 
 // refBuffer is an obviously-correct model of the GlobalBuffer semantics:
 // per-byte written map (write set), per-word read snapshots (read set), and
-// a shadow of the arena for commit checking. Every registered backend must
-// agree with it.
+// a shadow of the arena for commit checking. Every backend must agree with
+// it.
 type refBuffer struct {
 	arena   *mem.Arena
 	written map[mem.Addr]byte   // byte address -> speculative value
@@ -72,34 +72,33 @@ func (r *refBuffer) commit() {
 
 var accessSizes = []int{1, 2, 4, 8}
 
-// oracleConfigs maps every registered backend to a config under which the
-// test address range (word slots 1..200 of a 4 KiB arena) produces only OK
-// statuses: a collision-free openaddr map, chained buckets (collisions
-// resolve silently) and small bitmap pages. The overflow/conflict paths of
-// openaddr are exercised separately by TestQuickOracleUnderConflicts.
+// oracleConfigs maps every backend to a config under which the test address
+// range (word slots 1..200 of a 4 KiB arena) produces only OK statuses: a
+// collision-free openaddr map and small bitmap pages. The overflow/conflict
+// paths of openaddr are exercised separately by
+// TestQuickOracleUnderConflicts.
 func oracleConfigs() map[string]Config {
 	return map[string]Config{
 		"openaddr": {Backend: "openaddr", LogWords: 10, OverflowCap: 4},
-		"chain":    {Backend: "chain", LogBuckets: 4},
 		"bitmap":   {Backend: "bitmap", PageWords: 64},
 	}
 }
 
-// TestOracleCoversEveryBackend forces whoever registers a new backend to
-// add it to the cross-backend oracle configs.
+// TestOracleCoversEveryBackend forces whoever adds a backend to add it to
+// the cross-backend oracle configs.
 func TestOracleCoversEveryBackend(t *testing.T) {
 	cfgs := oracleConfigs()
 	for _, name := range Backends() {
 		if _, ok := cfgs[name]; !ok {
-			t.Errorf("backend %q registered but missing from oracleConfigs", name)
+			t.Errorf("backend %q missing from oracleConfigs", name)
 		}
 	}
 	if len(cfgs) != len(Backends()) {
-		t.Errorf("oracleConfigs has %d entries, %d backends registered", len(cfgs), len(Backends()))
+		t.Errorf("oracleConfigs has %d entries, %d backends exist", len(cfgs), len(Backends()))
 	}
 }
 
-// forEachBackend runs a subtest per registered backend with its oracle
+// forEachBackend runs a subtest per backend with its oracle
 // config.
 func forEachBackend(t *testing.T, fn func(t *testing.T, cfg Config)) {
 	for _, name := range Backends() {

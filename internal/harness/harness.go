@@ -383,7 +383,7 @@ func (h *Harness) Fig10(out io.Writer) error {
 var Fig11Probs = []float64{0.01, 0.05, 0.10, 0.20, 0.50, 1.00}
 
 // FigGBuf is the GlobalBuffer backend ablation (beyond the paper): every
-// registered backend runs the full benchmark suite at the largest axis
+// backend runs the full benchmark suite at the largest axis
 // point, and the table reports speedup, commits, rollbacks, conflict parks
 // and the per-thread read/write-set high-water marks side by side. Every
 // speculative result is checked against the sequential checksum, so the
@@ -420,9 +420,9 @@ func (h *Harness) FigGBuf(out io.Writer) error {
 }
 
 // overrideBackend replaces only the backend name of a Buffering config,
-// keeping the operator's backend-independent sizing fields (LogBuckets,
-// PageWords, …) intact — the ablation must not silently reset the sizing
-// the -gbuf-independent flags configured.
+// keeping the operator's sizing fields (LogWords, OverflowCap, PageWords)
+// intact — the ablation must not silently reset the sizing the
+// -gbuf-independent flags configured.
 func overrideBackend(buf mutls.Buffering, backend string) mutls.Buffering {
 	buf.Backend = backend
 	return buf
@@ -482,10 +482,10 @@ func (h *Harness) FigChunks(out io.Writer) error {
 
 // FigPipeline is the workload-shapes ablation (beyond the paper): the new
 // pipeline (stencil) and float-reduction (floatsum) kernels run under all
-// four forking models and every registered GlobalBuffer backend at the
-// largest axis point, each speculative result checksum-verified against
-// the sequential version — the acceptance matrix of the Pipeline and
-// ReduceFloat64 drivers.
+// four forking models and every GlobalBuffer backend at the largest axis
+// point, each speculative result checksum-verified against the sequential
+// version — the acceptance matrix of the Pipeline and ReduceFloat64
+// drivers.
 func (h *Harness) FigPipeline(out io.Writer) error {
 	cpus := h.cfg.CPUAxis[len(h.cfg.CPUAxis)-1]
 	models := []mutls.Model{mutls.InOrder, mutls.OutOfOrder, mutls.Mixed, mutls.MixedLinear}

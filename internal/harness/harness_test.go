@@ -189,10 +189,10 @@ func TestFortranVariantSlowerThanC(t *testing.T) {
 // TestOverrideBackendKeepsSizing: the gbuf ablation must sweep backends
 // without discarding the operator's backend-independent sizing fields.
 func TestOverrideBackendKeepsSizing(t *testing.T) {
-	buf := mutls.Buffering{LogWords: 10, OverflowCap: 32, LogBuckets: 9, PageWords: 128}
-	got := overrideBackend(buf, "chain")
+	buf := mutls.Buffering{LogWords: 10, OverflowCap: 32, PageWords: 128}
+	got := overrideBackend(buf, "bitmap")
 	want := buf
-	want.Backend = "chain"
+	want.Backend = "bitmap"
 	if got != want {
 		t.Fatalf("overrideBackend reset sizing: %+v, want %+v", got, want)
 	}
@@ -231,13 +231,15 @@ func TestFigPipelineRunsAndVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, frag := range []string{"stencil", "floatsum", "inorder", "outoforder", "mixedlinear", "openaddr", "chain", "bitmap"} {
+	for _, frag := range []string{"stencil", "floatsum", "inorder", "outoforder", "mixedlinear", "openaddr", "bitmap"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("FigPipeline missing %q", frag)
 		}
 	}
-	if rows := strings.Count(out, "\n"); rows < 2+2*4*3 {
-		t.Fatalf("FigPipeline printed %d lines, want at least %d", rows, 2+2*4*3)
+	// 2 kernels x 4 models x every backend, plus the title lines.
+	want := 2 + 2*4*len(mutls.Backends())
+	if rows := strings.Count(out, "\n"); rows < want {
+		t.Fatalf("FigPipeline printed %d lines, want at least %d", rows, want)
 	}
 }
 

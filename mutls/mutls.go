@@ -133,16 +133,15 @@ type Summary = stats.Summary
 
 // Buffering selects and sizes the per-CPU GlobalBuffer backend: the
 // Backend name plus the sizing fields of that backend (LogWords and
-// OverflowCap for "openaddr", LogBuckets for "chain", PageWords for
-// "bitmap"). Zero fields select defaults; invalid sizing or an unknown
-// backend fails New.
+// OverflowCap for "openaddr", PageWords for "bitmap"). Zero fields select
+// defaults; invalid sizing or an unknown backend fails New.
 type Buffering = gbuf.Config
 
 // BufferCounters is the aggregated GlobalBuffer activity of a run
 // (Summary.GBuf): loads, stores, conflict parks, committed words/bytes.
 type BufferCounters = gbuf.Counters
 
-// Backends returns the registered GlobalBuffer backend names, sorted —
+// Backends returns the GlobalBuffer backend names, sorted —
 // the valid values of Buffering.Backend.
 func Backends() []string { return gbuf.Backends() }
 
@@ -184,7 +183,7 @@ type Options struct {
 	StackBytes  int
 
 	// Buffering selects and sizes the per-CPU GlobalBuffer backend
-	// (openaddr, chain or bitmap). The zero value selects the openaddr
+	// (openaddr or bitmap). The zero value selects the openaddr
 	// backend with default sizing.
 	Buffering Buffering
 
