@@ -160,7 +160,7 @@ func BenchmarkAblation_BufferSize(b *testing.B) {
 					buf.Load(p, 8)
 				}
 				buf.Validate()
-				buf.Commit(nil)
+				buf.Commit()
 				buf.Finalize()
 			}
 			b.ReportMetric(float64(buf.C.Conflicts), "conflicts")
@@ -231,7 +231,7 @@ func BenchmarkAblation_CommitFastPath(b *testing.B) {
 			for j := 0; j < 4096; j++ {
 				store(buf, mem.Addr(8+j*8), j)
 			}
-			buf.Commit(nil)
+			buf.Commit()
 			buf.Finalize()
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -17,96 +18,108 @@ func waitReady(rt *Runtime, r Rank) {
 	}
 }
 
-// withProcs raises GOMAXPROCS for the test's duration so NewRuntime
-// enables the optimistic pre-validation path even on a single-core host
-// (the runtime disables the overlap when there is nothing to overlap
-// with; these tests exercise the overlapped protocol itself).
+// withProcs sets GOMAXPROCS for the test's duration, so paths that depend
+// on schedulable parallelism (the Real-timing spin budget, RealCPUCap) and
+// the join protocol's interleavings can be driven at a fixed value on any
+// host.
 func withProcs(t *testing.T, n int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
-// TestPreValidateCleanCommit: a speculation whose read set is untouched
-// commits through the optimistic path with exactly one (successful)
-// validation — the split must not change verdicts or counters.
-func TestPreValidateCleanCommit(t *testing.T) {
-	withProcs(t, 2)
-	rt := newRT(t, 1, nil)
-	rt.Run(func(t0 *Thread) {
-		arr := t0.Alloc(16)
-		t0.StoreInt64(arr, 5)
-		ranks := make([]Rank, 1)
-		h := t0.Fork(ranks, 0, Mixed)
-		if h == nil {
-			t.Fatal("fork failed")
-		}
-		h.SetRegvarAddr(0, arr)
-		h.Start(func(c *Thread) uint32 {
-			p := c.GetRegvarAddr(0)
-			c.StoreInt64(p+8, c.LoadInt64(p)*2)
-			return 0
+// joinProcs are the GOMAXPROCS values the join-protocol tests run at: one
+// schedulable CPU, where the child and the parent time-slice, and two,
+// where they run truly in parallel.
+var joinProcs = []int{1, 2}
+
+// TestJoinCleanCommitValidatesOnce: a speculation whose read set is
+// untouched commits with exactly one (successful) read-set validation,
+// run after the parent's SYNC.
+func TestJoinCleanCommitValidatesOnce(t *testing.T) {
+	for _, procs := range joinProcs {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			withProcs(t, procs)
+			rt := newRT(t, 1, nil)
+			rt.Run(func(t0 *Thread) {
+				arr := t0.Alloc(16)
+				t0.StoreInt64(arr, 5)
+				ranks := make([]Rank, 1)
+				h := t0.Fork(ranks, 0, Mixed)
+				if h == nil {
+					t.Fatal("fork failed")
+				}
+				h.SetRegvarAddr(0, arr)
+				h.Start(func(c *Thread) uint32 {
+					p := c.GetRegvarAddr(0)
+					c.StoreInt64(p+8, c.LoadInt64(p)*2)
+					return 0
+				})
+				waitReady(rt, ranks[0])
+				if res := t0.Join(ranks, 0); res.Status != JoinCommitted {
+					t.Fatalf("clean speculation did not commit: %v (%v)", res.Status, res.Reason)
+				}
+				if got := t0.LoadInt64(arr + 8); got != 10 {
+					t.Fatalf("committed value %d, want 10", got)
+				}
+			})
+			s := rt.Stats()
+			if s.GBuf.Validations != 1 || s.GBuf.ValidationFail != 0 {
+				t.Fatalf("validations %d/fail %d, want 1/0", s.GBuf.Validations, s.GBuf.ValidationFail)
+			}
 		})
-		waitReady(rt, ranks[0])
-		if res := t0.Join(ranks, 0); res.Status != JoinCommitted {
-			t.Fatalf("clean speculation did not commit: %v (%v)", res.Status, res.Reason)
-		}
-		if got := t0.LoadInt64(arr + 8); got != 10 {
-			t.Fatalf("committed value %d, want 10", got)
-		}
-	})
-	s := rt.Stats()
-	if s.GBuf.Validations != 1 || s.GBuf.ValidationFail != 0 {
-		t.Fatalf("validations %d/fail %d, want 1/0", s.GBuf.Validations, s.GBuf.ValidationFail)
 	}
 }
 
-// TestPreValidateCatchesLateWrite: the parent overwrites a word the region
-// read strictly after the region stopped — after its optimistic
-// pre-validation may already have passed. The stamp table must force the
-// lock-time re-check to see the conflict, whichever side of the
-// pre-validation snapshot the write landed on.
-func TestPreValidateCatchesLateWrite(t *testing.T) {
-	withProcs(t, 2)
-	rt := newRT(t, 1, nil)
-	rt.Run(func(t0 *Thread) {
-		arr := t0.Alloc(16)
-		t0.StoreInt64(arr, 1)
-		ranks := make([]Rank, 1)
-		h := t0.Fork(ranks, 0, Mixed)
-		if h == nil {
-			t.Fatal("fork failed")
-		}
-		h.SetRegvarAddr(0, arr)
-		h.Start(func(c *Thread) uint32 {
-			p := c.GetRegvarAddr(0)
-			c.StoreInt64(p+8, c.LoadInt64(p))
-			return 0
+// TestJoinLateParentWriteRollsBack: the parent overwrites a word the
+// region read strictly after the region stopped. The validation that runs
+// after SYNC must see the conflict, roll the region back with
+// RollbackValidation and leak none of its writes.
+func TestJoinLateParentWriteRollsBack(t *testing.T) {
+	for _, procs := range joinProcs {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			withProcs(t, procs)
+			rt := newRT(t, 1, nil)
+			rt.Run(func(t0 *Thread) {
+				arr := t0.Alloc(16)
+				t0.StoreInt64(arr, 1)
+				ranks := make([]Rank, 1)
+				h := t0.Fork(ranks, 0, Mixed)
+				if h == nil {
+					t.Fatal("fork failed")
+				}
+				h.SetRegvarAddr(0, arr)
+				h.Start(func(c *Thread) uint32 {
+					p := c.GetRegvarAddr(0)
+					c.StoreInt64(p+8, c.LoadInt64(p))
+					return 0
+				})
+				waitReady(rt, ranks[0])
+				// The region has stopped: every load it made is in the
+				// past. This store invalidates its read set.
+				t0.StoreInt64(arr, 2)
+				res := t0.Join(ranks, 0)
+				if res.Status != JoinRolledBack || res.Reason != RollbackValidation {
+					t.Fatalf("join %v (%v), want rolled-back/validation", res.Status, res.Reason)
+				}
+				if got := t0.LoadInt64(arr + 8); got != 0 {
+					t.Fatalf("rolled-back write leaked: %d", got)
+				}
+			})
+			s := rt.Stats()
+			if s.GBuf.Validations != 1 || s.GBuf.ValidationFail != 1 {
+				t.Fatalf("validations %d/fail %d, want 1/1", s.GBuf.Validations, s.GBuf.ValidationFail)
+			}
 		})
-		waitReady(rt, ranks[0])
-		// The region has stopped: every load it made is in the past. This
-		// store invalidates its read set and stamps the page.
-		t0.StoreInt64(arr, 2)
-		res := t0.Join(ranks, 0)
-		if res.Status != JoinRolledBack || res.Reason != RollbackValidation {
-			t.Fatalf("join %v (%v), want rolled-back/validation", res.Status, res.Reason)
-		}
-		if got := t0.LoadInt64(arr + 8); got != 0 {
-			t.Fatalf("rolled-back write leaked: %d", got)
-		}
-	})
-	s := rt.Stats()
-	if s.GBuf.Validations != 1 || s.GBuf.ValidationFail != 1 {
-		t.Fatalf("validations %d/fail %d, want 1/1", s.GBuf.Validations, s.GBuf.ValidationFail)
 	}
 }
 
 // TestConcurrentJoinersStress runs many fork/join rounds with the parent
-// storing to a hot word the regions read, so pre-validations, stamp marks
-// and commits race on the dirty table from several goroutines at once.
-// Run under -race this is the memory-model check of the optimistic split;
-// the expectation tracking checks that exactly the committed speculations'
-// writes land.
+// storing to a hot word the regions read while several speculations are
+// in flight, so their validations and commits race the parent's direct
+// stores. Run under -race this is the memory-model check of the join
+// protocol; the expectation tracking checks that exactly the committed
+// speculations' writes land.
 func TestConcurrentJoinersStress(t *testing.T) {
 	const cpus = 4
 	const rounds = 50
@@ -197,8 +210,7 @@ func TestRealCPUCap(t *testing.T) {
 }
 
 // TestFillWords covers the memset-shaped accessor on both sides of the
-// speculation boundary: direct fill with stamping for the non-speculative
-// thread, buffered StoreFill for a region (visible only after commit).
+// speculation boundary: direct fill for the non-speculative thread, buffered StoreFill for a region (visible only after commit).
 func TestFillWords(t *testing.T) {
 	rt := newRT(t, 1, nil)
 	rt.Run(func(t0 *Thread) {

@@ -203,15 +203,6 @@ type cpu struct {
 	// stays alloc-free.
 	scratch []byte
 
-	// Pre-validation state of the current execution: the stamp-table
-	// snapshot taken before the optimistic read-set walk, whether that walk
-	// ran, and its result. dirtyFn is the prebuilt ValidateDirty oracle
-	// closing over preSnap (built once so the commit path stays alloc-free).
-	preSnap uint64
-	preOK   bool
-	preDone bool
-	dirtyFn func(base mem.Addr, nBytes int) bool
-
 	// Watchdog scan surface (SpecDeadline > 0 only). wallStart is the
 	// wall-clock unixnano at which the current execution entered its
 	// region, 0 while the CPU runs no region; specPoint mirrors td.point
@@ -293,21 +284,6 @@ type Runtime struct {
 	// nonSpecStackTop is the bump pointer of the non-speculative stack.
 	nonSpecStackTop mem.Addr
 
-	// stamps is the page-granularity dirty table over the arena that lets
-	// read-set validation run before the commit serial section: direct
-	// writers (non-speculative stores, commits) mark the pages they touch,
-	// pre-validators snapshot the sequence and the lock-time re-check
-	// covers only pages stamped after the snapshot. nil when the runtime
-	// has no speculative CPUs; markFn is stamps.Mark then, also nil.
-	stamps *mem.WriteStamps
-	markFn func(mem.Addr, int)
-	// overlapValidation enables the optimistic pre-validation walk. It is
-	// off when GOMAXPROCS is 1 at construction: with a single schedulable
-	// CPU the walk cannot overlap the joining thread — it time-slices
-	// against it and the lock-time re-check repeats most of the work (the
-	// joiner's stores dirty the pages), so the split only adds overhead.
-	overlapValidation bool
-
 	// drainGate parks the non-speculative thread in drain until active
 	// reaches zero; releaseCPU wakes it after every decrement.
 	drainGate waitGate
@@ -350,15 +326,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	rt.drainGate.init(spin)
 	rt.pointLive = make([]bool, o.MaxPoints)
 	rt.cpuLimit.Store(int32(o.NumCPUs))
-	if o.NumCPUs > 0 {
-		ws, err := mem.NewWriteStamps(space.Arena.Size(), 0)
-		if err != nil {
-			return nil, err
-		}
-		rt.stamps = ws
-		rt.markFn = ws.Mark
-		rt.overlapValidation = runtime.GOMAXPROCS(0) > 1
-	}
 	if o.FaultPlan != nil {
 		// Heap-allocation injection: a tripped Alloc fails like an
 		// exhausted region, which Thread.Alloc surfaces as a (contained)
@@ -397,9 +364,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		c.td.gate.init(spin)
 		c.td.forkRegs = make([]uint64, o.LBuf.RegSlots)
 		c.td.forkLive = make([]bool, o.LBuf.RegSlots)
-		c.dirtyFn = func(base mem.Addr, nBytes int) bool {
-			return rt.stamps.DirtySince(base, nBytes, c.preSnap)
-		}
 		rt.cpus[r] = c
 		rt.wg.Add(1)
 		go rt.worker(c)
@@ -988,14 +952,12 @@ func (rt *Runtime) runSpec(c *cpu, task specTask) {
 	}
 
 	// Stopped at a check point, barrier point, terminate point or the
-	// region's end. Publish the stop, pre-validate the read set while the
-	// parent is still running, then wait for the join signal.
+	// region's end. Publish the stop, then wait for the join signal.
 	td.stopCounter = out.counter
 	td.overflowStop = c.gb.MustStop()
 	td.stopTime = t.clock.Now()
 	td.state.Store(cpuReady)
 
-	rt.preValidate(t, c)
 	verdict := rt.waitSync(t, c)
 	if verdict == syncNoSync {
 		rt.finishNoSync(t, c, execStart)
@@ -1038,26 +1000,6 @@ func (rt *Runtime) waitSync(t *Thread, c *cpu) uint64 {
 	c.td.gate.wait(func() bool { return c.td.syncStatus() != syncNull })
 	stop()
 	return c.td.syncStatus()
-}
-
-// preValidate runs the read-set walk optimistically, before the parent's
-// SYNC hands this thread the commit serial section: the stamp sequence is
-// snapshotted, the full read set is compared against the arena, and the
-// verdict is remembered so validateAndCommit can limit its lock-time walk
-// to the pages dirtied after the snapshot (ValidateDirty). Skipped when
-// the parent has already signalled — the serial section is open anyway —
-// or when the runtime has no stamp table. Advisory only: no validation
-// counters move here.
-func (rt *Runtime) preValidate(t *Thread, c *cpu) {
-	c.preDone = false
-	if !rt.overlapValidation || c.td.syncStatus() != syncNull {
-		return
-	}
-	stop := t.clock.Span(vclock.Validation)
-	c.preSnap = rt.stamps.Snapshot()
-	c.preOK = c.gb.PreValidate()
-	c.preDone = true
-	stop()
 }
 
 // awaitVerdict handles the tail of a self-rolled-back execution: the parent
@@ -1129,17 +1071,7 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 		}
 	}
 	valStop := t.clock.Span(vclock.Validation)
-	var ok bool
-	if c.preDone && c.preOK {
-		// The optimistic pre-validation passed; re-check only the read-set
-		// runs on pages stamped after its snapshot. Verdict and counters
-		// are identical to a full Validate at this instant.
-		ok = c.gb.ValidateDirty(c.dirtyFn)
-	} else {
-		// No pre-validation ran (or it already failed — the mismatch could
-		// have been overwritten since, so the full walk decides).
-		ok = c.gb.Validate()
-	}
+	ok := c.gb.Validate()
 	valStop()
 	if !ok {
 		td.reason = RollbackValidation
@@ -1147,7 +1079,7 @@ func (rt *Runtime) validateAndCommit(t *Thread, c *cpu) bool {
 	}
 	t.clock.Charge(vclock.Commit, vclock.Cost(writes)*model.CommitPerWord)
 	commitStop := t.clock.Span(vclock.Commit)
-	c.gb.Commit(rt.markFn)
+	c.gb.Commit()
 	commitStop()
 	return true
 }

@@ -112,9 +112,6 @@ func (t *Thread) store(p mem.Addr, size int, v uint64) {
 			panic(fmt.Sprintf("core: non-speculative store to invalid address %d (+%d)", p, size))
 		}
 		directStore(t.rt.space.Arena, p, size, v)
-		if t.rt.markFn != nil {
-			t.rt.markFn(p, size)
-		}
 		return
 	}
 	t.clock.Charge(vclock.Work, model.BufferedAccess)
@@ -255,9 +252,6 @@ func (t *Thread) storeRange(p mem.Addr, src []byte) {
 			panic(fmt.Sprintf("core: non-speculative store to invalid range %d (+%d)", p, n))
 		}
 		t.rt.space.Arena.WriteWords(p, src)
-		if t.rt.markFn != nil {
-			t.rt.markFn(p, n)
-		}
 		return
 	}
 	t.clock.Charge(vclock.Work, model.BufferedAccess*vclock.Cost(nWords))
@@ -296,9 +290,6 @@ func (t *Thread) FillWords(p mem.Addr, nWords int, v uint64) {
 			panic(fmt.Sprintf("core: non-speculative fill of invalid range %d (+%d)", p, n))
 		}
 		t.rt.space.Arena.FillWords(p, nWords, v)
-		if t.rt.markFn != nil {
-			t.rt.markFn(p, n)
-		}
 		return
 	}
 	t.clock.Charge(vclock.Work, model.BufferedAccess*vclock.Cost(nWords))
@@ -567,12 +558,6 @@ func (t *Thread) StackAlloc(n int) mem.Addr {
 	p := t.stackTop
 	t.stackTop += need
 	t.rt.space.Arena.Zero(p, int(need))
-	if !t.speculative && t.rt.markFn != nil {
-		// The non-speculative stack is global address space: zeroing it is
-		// a direct write other threads' read sets may have snapshotted.
-		// Speculative stacks are private — no stamp needed.
-		t.rt.markFn(p, int(need))
-	}
 	return p
 }
 

@@ -51,25 +51,8 @@ type Backend interface {
 	StoreFill(p mem.Addr, nWords int, v uint64) Status
 	// Validate checks the read set against the arena.
 	Validate() bool
-	// PreValidate runs the same read-set walk as Validate without touching
-	// any counter or producing an authoritative verdict. The runtime calls
-	// it outside the commit serial section (before the join handshake's
-	// lock); a later Validate or ValidateDirty under the lock delivers the
-	// verdict that counts.
-	PreValidate() bool
-	// ValidateDirty is the lock-time half of the optimistic split: it
-	// re-checks only the read-set runs for which dirty(base, nBytes)
-	// reports a possible write since the PreValidate snapshot, and trusts
-	// the pre-validation for the rest. It must only be called when
-	// PreValidate returned true and the dirty oracle is sound (a run whose
-	// pages were written after the snapshot must report dirty); its verdict
-	// and counter effects are then identical to a full Validate at the same
-	// instant.
-	ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool
-	// Commit applies the write set to the arena as maximal runs. When mark
-	// is non-nil it is invoked after each applied run with its address and
-	// byte length — the write-then-stamp hook for dirty-page tables.
-	Commit(mark func(base mem.Addr, nBytes int))
+	// Commit applies the write set to the arena as maximal runs.
+	Commit()
 	// Finalize clears all buffered state for the next speculation.
 	Finalize()
 	// MustStop reports whether the thread must wait for its join.
@@ -168,14 +151,10 @@ func allMarkedWords(marks []byte) bool {
 }
 
 // commitRun applies nWords fully-marked buffered words starting at base in
-// one arena splice, then stamps the run. Callers have already checked the
-// marks.
-func commitRun(arena *mem.Arena, c *Counters, base mem.Addr, data []byte, mark func(mem.Addr, int)) {
+// one arena splice. Callers have already checked the marks.
+func commitRun(arena *mem.Arena, c *Counters, base mem.Addr, data []byte) {
 	arena.WriteWords(base, data)
 	c.WordsCommitted += uint64(len(data) / mem.Word)
-	if mark != nil {
-		mark(base, len(data))
-	}
 }
 
 // mergeLoad implements the read-your-own-writes rule shared by every
@@ -198,10 +177,9 @@ func mergeLoad(rWord, wData, wMarks []byte, off, size int) uint64 {
 
 // commitWord merges one buffered word into the arena: whole words at once
 // when all eight marks are set (the paper's -1 mark optimization), marked
-// bytes individually otherwise, then stamps the word. Committers are
-// serialized by the join protocol, so the read-modify-write is safe.
-// Shared by every backend.
-func commitWord(arena *mem.Arena, c *Counters, base mem.Addr, data, marks []byte, mark func(mem.Addr, int)) {
+// bytes individually otherwise. Committers are serialized by the join
+// protocol, so the read-modify-write is safe. Shared by every backend.
+func commitWord(arena *mem.Arena, c *Counters, base mem.Addr, data, marks []byte) {
 	if allMarked(marks) {
 		arena.WriteWord(base, readLE(data[:mem.Word]))
 		c.WordsCommitted++
@@ -215,8 +193,5 @@ func commitWord(arena *mem.Arena, c *Counters, base mem.Addr, data, marks []byte
 			}
 		}
 		arena.WriteWord(base, w)
-	}
-	if mark != nil {
-		mark(base, mem.Word)
 	}
 }

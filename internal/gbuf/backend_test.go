@@ -126,7 +126,7 @@ func TestBitmapDenseWrites(t *testing.T) {
 	if b.MustStop() {
 		t.Fatal("bitmap backend set MustStop")
 	}
-	b.Commit(nil)
+	b.Commit()
 	for i := 0; i < n; i++ {
 		if got := arena.ReadWord(mem.Addr(8 * (1 + i))); got != uint64(i)+1 {
 			t.Fatalf("commit word %d = %d", i, got)
@@ -153,7 +153,7 @@ func TestBitmapSubWordMerge(t *testing.T) {
 	// The arena word changes underneath; unmarked bytes keep the latest
 	// arena values after commit.
 	arena.WriteWord(64, 0x1111111111111111)
-	b.Commit(nil)
+	b.Commit()
 	if got := arena.ReadWord(64); got != 0x11111111BEEF1111 {
 		t.Fatalf("commit result %#x, want 0x11111111BEEF1111", got)
 	}

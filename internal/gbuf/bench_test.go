@@ -103,7 +103,7 @@ func BenchmarkSpeculationCycle1KiB(b *testing.B) {
 			if !be.Validate() {
 				b.Fatal("validation failed")
 			}
-			be.Commit(nil)
+			be.Commit()
 			be.Finalize()
 		}
 	})

@@ -428,36 +428,13 @@ func (b *bitmapBuffer) forEachRun(s *bitmapSet, fn func(base mem.Addr, data, mar
 	return true
 }
 
-// validateWalk is the read-set comparison shared by Validate, PreValidate
-// and ValidateDirty: one bulk comparison per run of consecutive buffered
-// words; a non-nil dirty oracle skips runs on clean pages.
-func (b *bitmapBuffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
-	return b.forEachRun(&b.read, func(base mem.Addr, data, _ []byte) bool {
-		if dirty != nil && !dirty(base, len(data)) {
-			return true
-		}
-		return b.arena.EqualWords(base, data)
-	})
-}
-
-// Validate checks every read-set word against the arena.
+// Validate checks every read-set word against the arena: one bulk
+// comparison per run of consecutive buffered words.
 func (b *bitmapBuffer) Validate() bool {
 	b.C.Validations++
-	if !b.validateWalk(nil) {
-		b.C.ValidationFail++
-		return false
-	}
-	return true
-}
-
-// PreValidate runs the read-set walk without counter effects.
-func (b *bitmapBuffer) PreValidate() bool { return b.validateWalk(nil) }
-
-// ValidateDirty re-checks only the possibly-dirty runs, with Validate's
-// counter effects.
-func (b *bitmapBuffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool {
-	b.C.Validations++
-	if !b.validateWalk(dirty) {
+	if !b.forEachRun(&b.read, func(base mem.Addr, data, _ []byte) bool {
+		return b.arena.EqualWords(base, data)
+	}) {
 		b.C.ValidationFail++
 		return false
 	}
@@ -466,16 +443,16 @@ func (b *bitmapBuffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool)
 
 // Commit applies the write set to the arena: fully-marked runs are spliced
 // with one arena write each, partially-marked words fall back to the
-// marked-byte walk. A non-nil mark is invoked after each applied run.
-func (b *bitmapBuffer) Commit(mark func(base mem.Addr, nBytes int)) {
+// marked-byte walk.
+func (b *bitmapBuffer) Commit() {
 	b.C.Commits++
 	b.forEachRun(&b.write, func(base mem.Addr, data, marks []byte) bool {
 		if !b.anyPartial || allMarkedWords(marks) {
-			commitRun(b.arena, &b.C, base, data, mark)
+			commitRun(b.arena, &b.C, base, data)
 			return true
 		}
 		for w := 0; w < len(data); w += mem.Word {
-			commitWord(b.arena, &b.C, base+mem.Addr(w), data[w:w+mem.Word], marks[w:w+mem.Word], mark)
+			commitWord(b.arena, &b.C, base+mem.Addr(w), data[w:w+mem.Word], marks[w:w+mem.Word])
 		}
 		return true
 	})

@@ -196,8 +196,8 @@ func runBulkScript(t *testing.T, cfg Config, seed int64) {
 	if !v1 {
 		return
 	}
-	bulk.Commit(nil)
-	ref.Commit(nil)
+	bulk.Commit()
+	ref.Commit()
 	if c1, c2 := *bulk.Counters(), *ref.Counters(); c1 != c2 {
 		t.Fatalf("%s: post-commit counters\n bulk %+v\n ref  %+v", ctx, c1, c2)
 	}

@@ -88,7 +88,7 @@ func refCommit(arena *mem.Arena, c *Counters, writes []bufferedWord) {
 	c.Commits++
 	for i := range writes {
 		w := &writes[i]
-		commitWord(arena, c, w.base, w.data[:], w.mark[:], nil)
+		commitWord(arena, c, w.base, w.data[:], w.mark[:])
 	}
 }
 
@@ -133,16 +133,16 @@ func refCommitWalk(be Backend, arena *mem.Arena, c *Counters) {
 		w := &v.write
 		for k := 0; k < w.top; k++ {
 			i := int(w.used[k])
-			commitWord(arena, c, w.addrs[i], w.word(i), w.markWord(i), nil)
+			commitWord(arena, c, w.addrs[i], w.word(i), w.markWord(i))
 		}
 		for k := range v.writeOv {
 			e := &v.writeOv[k]
-			commitWord(arena, c, e.base, e.data[:], e.mark[:], nil)
+			commitWord(arena, c, e.base, e.data[:], e.mark[:])
 		}
 	case *bitmapBuffer:
 		v.forEachRun(&v.write, func(base mem.Addr, data, marks []byte) bool {
 			for w := 0; w < len(data); w += mem.Word {
-				commitWord(arena, c, base+mem.Addr(w), data[w:w+mem.Word], marks[w:w+mem.Word], nil)
+				commitWord(arena, c, base+mem.Addr(w), data[w:w+mem.Word], marks[w:w+mem.Word])
 			}
 			return true
 		})
@@ -246,7 +246,7 @@ func TestBatchedCommitMatchesWordWalk(t *testing.T) {
 				}
 				before := *be.Counters()
 				var refC Counters
-				be.Commit(nil)
+				be.Commit()
 				refCommit(refArena, &refC, writes)
 				sameArenas(t, arena, refArena, fmt.Sprintf("trial %d", trial))
 				after := *be.Counters()
@@ -306,70 +306,9 @@ func TestStoreFillMatchesStoreRange(t *testing.T) {
 				if cf != cr {
 					t.Fatalf("trial %d: counters %+v vs %+v", trial, cf, cr)
 				}
-				fills.Commit(nil)
-				ranges.Commit(nil)
+				fills.Commit()
+				ranges.Commit()
 				sameArenas(t, arenaA, arenaB, fmt.Sprintf("trial %d", trial))
-			}
-		})
-	}
-}
-
-// TestValidateDirtySplit: the optimistic split's observable contract —
-// PreValidate touches no counters, ValidateDirty skips runs its oracle
-// calls clean and matches Validate's verdict/counters when the oracle is
-// sound.
-func TestValidateDirtySplit(t *testing.T) {
-	for _, name := range Backends() {
-		t.Run(name, func(t *testing.T) {
-			arena, _ := mem.NewArena(1 << 13)
-			arena.WriteWord(64, 41)
-			be, err := NewBackend(arena, testConfig(name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v, st := be.Load(64, 8); st != OK || v != 41 {
-				t.Fatalf("load = %d, %v", v, st)
-			}
-			buf := make([]byte, 8*mem.Word)
-			if st := be.LoadRange(512, buf); st != OK {
-				t.Fatal(st)
-			}
-			c0 := *be.Counters()
-			if !be.PreValidate() {
-				t.Fatal("clean pre-validation failed")
-			}
-			if c1 := *be.Counters(); c1 != c0 {
-				t.Fatalf("PreValidate touched counters: %+v -> %+v", c0, c1)
-			}
-			// A clean oracle skips every run; the verdict stands on the
-			// pre-validation alone and Validate's counters advance.
-			if !be.ValidateDirty(func(mem.Addr, int) bool { return false }) {
-				t.Fatal("ValidateDirty(all clean) failed")
-			}
-			if c1 := *be.Counters(); c1.Validations != c0.Validations+1 || c1.ValidationFail != c0.ValidationFail {
-				t.Fatalf("ValidateDirty counters: %+v", c1)
-			}
-			// Interference after the snapshot: a sound oracle (everything
-			// dirty) re-checks and fails exactly like a full Validate.
-			arena.WriteWord(64, 99)
-			if be.PreValidate() {
-				t.Fatal("pre-validation missed interference")
-			}
-			// An oracle calling the conflicting word clean makes
-			// ValidateDirty trust the stale pre-validation: that is the
-			// documented contract (soundness is the oracle's burden).
-			if !be.ValidateDirty(func(base mem.Addr, n int) bool { return base+mem.Addr(n) <= 64 || base > 64 }) {
-				t.Fatal("oracle-skipped run was re-checked anyway")
-			}
-			if be.ValidateDirty(func(mem.Addr, int) bool { return true }) {
-				t.Fatal("ValidateDirty(all dirty) missed interference")
-			}
-			if be.Validate() {
-				t.Fatal("Validate missed interference")
-			}
-			c2 := *be.Counters()
-			if c2.ValidationFail < 2 {
-				t.Fatalf("failed validations uncounted: %+v", c2)
 			}
 		})
 	}
@@ -378,13 +317,11 @@ func TestValidateDirtySplit(t *testing.T) {
 // BenchmarkCommitWalk prices the join serial section on a dense 4 KiB
 // write set (512 contiguous words, the mandelbrot-row shape).
 //
-// The headline pair is serial-window-*: everything executed while the
-// committing thread holds the join lock. Pre-PR that was a full word-at-
-// a-time validate plus a word-at-a-time copyback; post-PR the validation
-// ran optimistically before the lock, so the window is ValidateDirty over
-// a clean dirty-table plus the run-spliced commit. The commit-*/validate-*
-// pairs price the two halves in isolation. The acceptance bar is ≥ 2x
-// fewer ns/op for the batched serialized window.
+// The headline pair is serial-window-*: everything the committing thread
+// runs after SYNC, a full read-set Validate followed by Commit. The
+// batched side walks address-sorted runs with the arena's bulk
+// intrinsics; the word-reference side compares and copies one word at a
+// time. The commit-*/validate-* pairs price the two halves in isolation.
 func BenchmarkCommitWalk(b *testing.B) {
 	const nWords = 512
 	const readBase = mem.Addr(1 << 12)  // 4 KiB read set...
@@ -407,14 +344,13 @@ func BenchmarkCommitWalk(b *testing.B) {
 			if st := be.StoreRange(writeBase, src); st != OK {
 				b.Fatal(st)
 			}
-			allClean := func(mem.Addr, int) bool { return false }
 			b.Run("serial-window-batched", func(b *testing.B) {
 				b.SetBytes(nWords * mem.Word)
 				for i := 0; i < b.N; i++ {
-					if !be.ValidateDirty(allClean) {
+					if !be.Validate() {
 						b.Fatal("validation failed")
 					}
-					be.Commit(nil)
+					be.Commit()
 				}
 			})
 			b.Run("serial-window-word-reference", func(b *testing.B) {
@@ -430,7 +366,7 @@ func BenchmarkCommitWalk(b *testing.B) {
 			b.Run("commit-batched", func(b *testing.B) {
 				b.SetBytes(nWords * mem.Word)
 				for i := 0; i < b.N; i++ {
-					be.Commit(nil)
+					be.Commit()
 				}
 			})
 			b.Run("commit-word-reference", func(b *testing.B) {

@@ -567,15 +567,13 @@ func (b *Buffer) StoreFill(p mem.Addr, nWords int, v uint64) Status {
 	return st
 }
 
-// validateWalk is the read-set comparison shared by Validate, PreValidate
-// and ValidateDirty. Conflicts only occur when the speculative thread read
-// an address before the non-speculative thread wrote it, so equality of the
-// snapshot with current memory is exactly the paper's validation criterion.
-// Bulk loads claim consecutive slots for consecutive addresses, so the walk
-// batches such runs into one arena comparison each; isolated words compare
-// one at a time. A non-nil dirty oracle skips runs whose pages are known
-// clean since the pre-validation snapshot.
-func (b *Buffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
+// validateWalk is Validate's read-set comparison. Conflicts only occur
+// when the speculative thread read an address before the non-speculative
+// thread wrote it, so equality of the snapshot with current memory is
+// exactly the paper's validation criterion. Bulk loads claim consecutive
+// slots for consecutive addresses, so the walk batches such runs into one
+// arena comparison each; isolated words compare one at a time.
+func (b *Buffer) validateWalk() bool {
 	for k := 0; k < b.read.top; {
 		i := int(b.read.used[k])
 		base := b.read.addrs[i]
@@ -587,18 +585,13 @@ func (b *Buffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
 			}
 			run++
 		}
-		if dirty == nil || dirty(base, run*mem.Word) {
-			if !b.arena.EqualWords(base, b.read.buf[i*mem.Word:(i+run)*mem.Word]) {
-				return false
-			}
+		if !b.arena.EqualWords(base, b.read.buf[i*mem.Word:(i+run)*mem.Word]) {
+			return false
 		}
 		k += run
 	}
 	for k := range b.readOv {
 		e := &b.readOv[k]
-		if dirty != nil && !dirty(e.base, mem.Word) {
-			continue
-		}
 		if binary.LittleEndian.Uint64(e.data[:]) != b.arena.ReadWord(e.base) {
 			return false
 		}
@@ -609,23 +602,7 @@ func (b *Buffer) validateWalk(dirty func(mem.Addr, int) bool) bool {
 // Validate checks every read-set word against the arena.
 func (b *Buffer) Validate() bool {
 	b.C.Validations++
-	if !b.validateWalk(nil) {
-		b.C.ValidationFail++
-		return false
-	}
-	return true
-}
-
-// PreValidate runs the full read-set walk without touching any counter —
-// the optimistic half executed outside the commit serial section.
-func (b *Buffer) PreValidate() bool { return b.validateWalk(nil) }
-
-// ValidateDirty is the lock-time half: it re-checks only the runs the dirty
-// oracle reports possibly written since the pre-validation snapshot, with
-// Validate's counter effects.
-func (b *Buffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool {
-	b.C.Validations++
-	if !b.validateWalk(dirty) {
+	if !b.validateWalk() {
 		b.C.ValidationFail++
 		return false
 	}
@@ -636,8 +613,7 @@ func (b *Buffer) ValidateDirty(dirty func(base mem.Addr, nBytes int) bool) bool 
 // eight marks are set (the paper's -1 mark optimization), marked bytes
 // individually otherwise. Fully-marked runs over consecutive slots — the
 // shape bulk stores leave behind — are spliced with one arena write each.
-// A non-nil mark is invoked after each applied run (write-then-stamp).
-func (b *Buffer) Commit(mark func(base mem.Addr, nBytes int)) {
+func (b *Buffer) Commit() {
 	b.C.Commits++
 	w := &b.write
 	for k := 0; k < w.top; {
@@ -654,7 +630,7 @@ func (b *Buffer) Commit(mark func(base mem.Addr, nBytes int)) {
 		if !b.anyPartial {
 			// No sub-word store happened: every mark is full by
 			// construction, the whole address run splices at once.
-			commitRun(b.arena, &b.C, base, w.buf[i*mem.Word:(i+n)*mem.Word], mark)
+			commitRun(b.arena, &b.C, base, w.buf[i*mem.Word:(i+n)*mem.Word])
 			k += n
 			continue
 		}
@@ -666,18 +642,18 @@ func (b *Buffer) Commit(mark func(base mem.Addr, nBytes int)) {
 			}
 			if f > s {
 				commitRun(b.arena, &b.C, base+mem.Addr(s*mem.Word),
-					w.buf[(i+s)*mem.Word:(i+f)*mem.Word], mark)
+					w.buf[(i+s)*mem.Word:(i+f)*mem.Word])
 				s = f
 				continue
 			}
-			commitWord(b.arena, &b.C, base+mem.Addr(s*mem.Word), w.word(i+s), w.markWord(i+s), mark)
+			commitWord(b.arena, &b.C, base+mem.Addr(s*mem.Word), w.word(i+s), w.markWord(i+s))
 			s++
 		}
 		k += n
 	}
 	for k := range b.writeOv {
 		e := &b.writeOv[k]
-		commitWord(b.arena, &b.C, e.base, e.data[:], e.mark[:], mark)
+		commitWord(b.arena, &b.C, e.base, e.data[:], e.mark[:])
 	}
 }
 

@@ -62,7 +62,7 @@ func TestStoreDoesNotTouchArenaUntilCommit(t *testing.T) {
 	if arena.ReadWord(64) != 7 {
 		t.Fatal("store leaked to arena before commit")
 	}
-	b.Commit(nil)
+	b.Commit()
 	if arena.ReadWord(64) != 99 {
 		t.Fatal("commit did not apply store")
 	}
@@ -124,7 +124,7 @@ func TestSubWordCommitAppliesOnlyMarkedBytes(t *testing.T) {
 	// The arena word changes under the speculative thread; unmarked bytes
 	// must keep the *latest* arena values after commit.
 	arena.WriteWord(64, 0x1111111111111111)
-	b.Commit(nil)
+	b.Commit()
 	if got := arena.ReadWord(64); got != 0x11111111BB1111AA {
 		t.Fatalf("commit result %#x", got)
 	}
@@ -141,7 +141,7 @@ func TestWholeWordCommitFastPath(t *testing.T) {
 	b.Store(64, 8, 5)
 	b.Store(72, 4, 1)
 	b.Store(76, 4, 2) // together fully mark word 72
-	b.Commit(nil)
+	b.Commit()
 	if arena.ReadWord(64) != 5 {
 		t.Fatal("word commit failed")
 	}
@@ -256,7 +256,7 @@ func TestWriteOverflowCommits(t *testing.T) {
 	if st := b.Store(a2, 8, 3); st != OK {
 		t.Fatalf("update of overflow entry status %v", st)
 	}
-	b.Commit(nil)
+	b.Commit()
 	if arena.ReadWord(a1) != 1 || arena.ReadWord(a2) != 3 {
 		t.Fatalf("commit = %d, %d", arena.ReadWord(a1), arena.ReadWord(a2))
 	}
@@ -304,7 +304,7 @@ func TestFinalizeResetsEverything(t *testing.T) {
 		t.Fatalf("post-finalize load = %d, %v", v, st)
 	}
 	b.Finalize()
-	b.Commit(nil) // empty commit is a no-op
+	b.Commit() // empty commit is a no-op
 	if arena.ReadWord(a1) != 123 {
 		t.Fatal("empty commit changed memory")
 	}
@@ -363,7 +363,7 @@ func TestAllSizesRoundTrip(t *testing.T) {
 			t.Fatalf("load size %d = %#x, %v (want %#x)", c.size, v, st, c.v)
 		}
 	}
-	b.Commit(nil)
+	b.Commit()
 	if got := arena.ReadUint8(128); got != 0xAB {
 		t.Errorf("committed byte %#x", got)
 	}

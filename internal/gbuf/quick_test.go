@@ -170,7 +170,7 @@ func TestQuickBufferMatchesReference(t *testing.T) {
 				return false
 			}
 			// Commit both and compare the full arena images.
-			buf.Commit(nil)
+			buf.Commit()
 			ref.commit()
 			for i := 8; i < 1<<12; i++ {
 				if arenaA.ReadUint8(mem.Addr(i)) != arenaB.ReadUint8(mem.Addr(i)) {
@@ -269,7 +269,7 @@ func TestQuickOracleUnderConflicts(t *testing.T) {
 			t.Logf("validation disagreement: real=%v ref=%v", okA, okB)
 			return false
 		}
-		buf.Commit(nil)
+		buf.Commit()
 		ref.commit()
 		for i := 8; i < 1<<12; i++ {
 			if arenaA.ReadUint8(mem.Addr(i)) != arenaB.ReadUint8(mem.Addr(i)) {
@@ -348,7 +348,7 @@ func TestQuickCommitTouchesOnlyWrittenBytes(t *testing.T) {
 					written[p+mem.Addr(i)] = byte(v >> (8 * i))
 				}
 			}
-			buf.Commit(nil)
+			buf.Commit()
 			for i := mem.Addr(8); i < 1<<12; i++ {
 				want, ok := written[i]
 				if !ok {
@@ -428,7 +428,7 @@ func TestQuickFinalizeIsFresh(t *testing.T) {
 				t.Fatalf("round %d: post-finalize load = %d", round, v)
 			}
 			buf.Finalize()
-			buf.Commit(nil) // empty commit is a no-op
+			buf.Commit() // empty commit is a no-op
 			if arena.ReadWord(64) != uint64(round)+100 {
 				t.Fatalf("round %d: empty commit changed memory", round)
 			}

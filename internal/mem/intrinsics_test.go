@@ -113,47 +113,6 @@ func TestByteOpsMatchReference(t *testing.T) {
 	}
 }
 
-func TestWriteStamps(t *testing.T) {
-	ws, err := NewWriteStamps(1<<16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.PageBytes() != DefaultStampPageBytes {
-		t.Fatalf("PageBytes = %d", ws.PageBytes())
-	}
-	snap := ws.Snapshot()
-	if ws.DirtySince(0, 1<<16, snap) {
-		t.Fatal("fresh table reports dirty")
-	}
-	ws.Mark(5000, 16) // page 1
-	if !ws.DirtySince(4096, 8, snap) {
-		t.Fatal("marked page not dirty")
-	}
-	if ws.DirtySince(0, 4096, snap) {
-		t.Fatal("unmarked page dirty")
-	}
-	if ws.DirtySince(8192, 8, snap) {
-		t.Fatal("later page dirty")
-	}
-	// A span overlapping the dirty page is dirty.
-	if !ws.DirtySince(4000, 200, snap) {
-		t.Fatal("overlapping span not dirty")
-	}
-	// A snapshot taken after the mark sees a clean table.
-	snap2 := ws.Snapshot()
-	if ws.DirtySince(0, 1<<16, snap2) {
-		t.Fatal("post-mark snapshot reports dirty")
-	}
-	// Page-boundary straddling mark stamps both pages.
-	ws.Mark(8190, 8)
-	if !ws.DirtySince(4096, 8, snap2) || !ws.DirtySince(8192, 8, snap2) {
-		t.Fatal("straddling mark missed a page")
-	}
-	if _, err := NewWriteStamps(64, 3); err == nil {
-		t.Fatal("non-power-of-two page size accepted")
-	}
-}
-
 // BenchmarkArenaFill prices zeroing a dense 4 KiB block: the word-batched
 // intrinsic (ZeroWords under Zero) against the pre-intrinsic byte-at-a-time
 // reference. The acceptance bar for the commit-path work is ≥ 2x fewer
