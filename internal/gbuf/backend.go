@@ -131,6 +131,13 @@ func setFullMarks(marks []byte) {
 	}
 }
 
+// fillWords stores the word v into every word of a word-multiple slice.
+func fillWords(dst []byte, v uint64) {
+	for i := 0; i+mem.Word <= len(dst); i += mem.Word {
+		binary.LittleEndian.PutUint64(dst[i:], v)
+	}
+}
+
 // allMarked8 reports whether one word's eight marks are all set (the
 // single-compare form of allMarked for the word-granular hot paths).
 func allMarked8(marks []byte) bool {

@@ -64,17 +64,50 @@ func BenchmarkStoreWordLoop1KiB(b *testing.B) {
 	})
 }
 
+// BenchmarkLoadRange1KiB prices one 1 KiB LoadRange per op in the
+// read-set states the kernels produce:
+//
+//   - warm: every word is already in the read set (a re-read);
+//   - cold: first touch, with a Finalize in every op;
+//   - reread-disjoint-writes: a warm read set while the write set holds
+//     1 KiB elsewhere (md re-reading its positions while it buffers
+//     forces).
 func BenchmarkLoadRange1KiB(b *testing.B) {
 	dst := make([]byte, benchWords*mem.Word)
-	forEachBenchBackend(b, func(b *testing.B, be Backend) {
-		be.LoadRange(64, dst) // warm the read set
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if st := be.LoadRange(64, dst); st != OK {
-				b.Fatal(st)
+	src := make([]byte, benchWords*mem.Word)
+	shapes := []struct {
+		name     string
+		prime    func(be Backend) // state before the timer starts
+		finalize bool             // Finalize after every load
+	}{
+		{"warm", func(be Backend) { be.LoadRange(64, dst) }, false},
+		{"cold", func(Backend) {}, true},
+		{"reread-disjoint-writes", func(be Backend) {
+			be.StoreRange(1<<16, src)
+			be.LoadRange(64, dst)
+		}, false},
+	}
+	for _, name := range Backends() {
+		b.Run(name, func(b *testing.B) {
+			for _, sh := range shapes {
+				b.Run(sh.name, func(b *testing.B) {
+					be := benchBackend(b, name)
+					b.SetBytes(benchWords * mem.Word)
+					b.ReportAllocs()
+					sh.prime(be)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if st := be.LoadRange(64, dst); st != OK {
+							b.Fatal(st)
+						}
+						if sh.finalize {
+							be.Finalize()
+						}
+					}
+				})
 			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkLoadWordLoop1KiB(b *testing.B) {

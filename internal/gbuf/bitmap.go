@@ -385,10 +385,7 @@ func (b *bitmapBuffer) StoreFill(p mem.Addr, nWords int, v uint64) Status {
 		}
 		pg := b.write.page(b, pageIdx, true)
 		off := slot * mem.Word
-		dst := pg.data[off : off+count*mem.Word]
-		for w := 0; w+mem.Word <= len(dst); w += mem.Word {
-			binary.LittleEndian.PutUint64(dst[w:], v)
-		}
+		fillWords(pg.data[off:off+count*mem.Word], v)
 		setFullMarks(pg.mark[off : off+count*mem.Word])
 		b.write.words += setBitRange(pg.present, slot, count)
 		p += mem.Addr(count * mem.Word)

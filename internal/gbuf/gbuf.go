@@ -126,20 +126,18 @@ func (m *hashMap) word(i int) []byte { return m.buf[i*mem.Word : i*mem.Word+mem.
 func (m *hashMap) markWord(i int) []byte { return m.mark[i*mem.Word : i*mem.Word+mem.Word] }
 
 // reset clears exactly the used slots (the offsets-stack trick that keeps
-// finalization proportional to the data touched, not the map size).
+// finalization proportional to the data touched, not the map size). Only
+// the addresses and the write set's marks are cleared: every claim
+// overwrites its slot's whole data word (a read snapshot, a full-word
+// store, or a sub-word store seeded from the arena).
 func (m *hashMap) reset() {
-	for k := 0; k < m.top; k++ {
-		i := m.used[k]
+	used := m.used[:m.top]
+	for _, i := range used {
 		m.addrs[i] = mem.NilAddr
-		w := m.word(int(i))
-		for b := range w {
-			w[b] = 0
-		}
-		if m.mark != nil {
-			mw := m.markWord(int(i))
-			for b := range mw {
-				mw[b] = 0
-			}
+	}
+	if m.mark != nil {
+		for _, i := range used {
+			binary.LittleEndian.PutUint64(m.mark[int(i)*mem.Word:], 0)
 		}
 	}
 	m.top = 0
@@ -354,6 +352,20 @@ func (b *Buffer) Load(p mem.Addr, size int) (uint64, Status) {
 	return mergeLoad(rWord, wData, wMarks, off, size), st
 }
 
+// parkWrite diverts a write of base, whose hash slot holds another
+// address, to a new overflow entry (Conflict), or reports Full when the
+// overflow buffer is exhausted.
+func (b *Buffer) parkWrite(base mem.Addr) (data, marks []byte, st Status) {
+	b.C.Conflicts++
+	if len(b.writeOv) >= b.ovCap {
+		return nil, nil, Full
+	}
+	b.writeOv = append(b.writeOv, ovEntry{base: base})
+	e := &b.writeOv[len(b.writeOv)-1]
+	b.mustStop = true
+	return e.data[:], e.mark[:], Conflict
+}
+
 // Store performs a buffered write of size bytes (1, 2, 4 or 8) at p. Whole
 // words overwrite the slot and set every mark; sub-word stores first fill
 // the slot from the arena (as the paper does) and then mark the written
@@ -373,16 +385,8 @@ func (b *Buffer) Store(p mem.Addr, size int, v uint64) Status {
 	if data == nil {
 		if i, ok := b.write.insert(base); ok {
 			data, marks = b.write.word(i), b.write.markWord(i)
-		} else {
-			b.C.Conflicts++
-			if len(b.writeOv) >= b.ovCap {
-				return Full
-			}
-			b.writeOv = append(b.writeOv, ovEntry{base: base})
-			e := &b.writeOv[len(b.writeOv)-1]
-			data, marks = e.data[:], e.mark[:]
-			b.mustStop = true
-			st = Conflict
+		} else if data, marks, st = b.parkWrite(base); st == Full {
+			return Full
 		}
 		if size < mem.Word {
 			// First touch of a sub-word slot: seed with the arena word.
@@ -396,13 +400,27 @@ func (b *Buffer) Store(p mem.Addr, size int, v uint64) Status {
 	return st
 }
 
+// The bulk paths below are slot-run walks. The read and write maps have the
+// same size and hash on the address's low bits, so a word range occupies
+// consecutive slots in both maps, with one break where it wraps at the
+// map's end. Each walk splits the range into maximal runs of slots that
+// need the same treatment and moves each run's data with one copy; only
+// own-write words (in LoadRange), slots held by foreign addresses and
+// overflow words take the one-word paths of Load and Store.
+
+// runLimit is the longest run from slot i that neither wraps at the end of
+// the map nor goes past the remaining nWords-k words of the range.
+func (m *hashMap) runLimit(i, k, nWords int) int {
+	return min(nWords-k, len(m.addrs)-i)
+}
+
 // LoadRange performs a buffered read of len(dst)/WORD consecutive words at
-// the word-aligned address p — the openaddr bulk path. Consecutive
-// addresses occupy consecutive hash slots (the slot is the address's low
-// bits), so the walk advances a slot cursor instead of re-hashing, seeds
-// every missed snapshot from one arena splice, and falls back to the
-// word-at-a-time overflow machinery only on slots held by foreign
-// addresses.
+// the word-aligned address p — the openaddr bulk path. While the write
+// overflow buffer is empty, the walk takes maximal runs of words the
+// thread has not written: a run already in the read set copies out of it
+// in one piece, a run of empty slots is claimed and snapshotted with one
+// arena read. Own-write words, foreign slots and overflow words go one
+// word at a time.
 func (b *Buffer) LoadRange(p mem.Addr, dst []byte) Status {
 	nWords, ok := rangeGeometry(p, len(dst))
 	if !ok {
@@ -412,53 +430,84 @@ func (b *Buffer) LoadRange(p mem.Addr, dst []byte) Status {
 		return OK
 	}
 	b.C.Loads += uint64(nWords)
-	// Seed dst with the current arena words in one splice; buffered
-	// snapshots overwrite their words below.
-	b.arena.ReadWords(p, dst)
-	hasWrites := b.write.top > 0 || len(b.writeOv) > 0
+	runs := len(b.writeOv) == 0
+	hasWrites := b.write.top > 0
+	r := &b.read
 	st := OK
-	i := b.read.slot(p)
-	mask := int(b.read.mask)
-	for k := 0; k < nWords; k, i = k+1, (i+1)&mask {
+	hits := 0
+	i := r.slot(p)
+	for k := 0; k < nWords; {
 		base := p + mem.Addr(k*mem.Word)
-		out := dst[k*mem.Word : (k+1)*mem.Word]
-		var wData, wMarks []byte
-		if hasWrites {
-			wData, wMarks = b.writeEntry(base)
-			if wData != nil && allMarked8(wMarks) {
-				b.C.ReadSetHits++
-				copy(out, wData)
-				continue
+		occ := r.addrs[i]
+		if runs && (occ == base || occ == mem.NilAddr) && (!hasWrites || b.write.addrs[i] != base) {
+			// A run of hits (every slot holds its own word) or of empty
+			// slots, none of them in the write set.
+			hit := occ == base
+			limit := r.runLimit(i, k, nWords)
+			ra := r.addrs[i : i+limit]
+			var wa []mem.Addr
+			if hasWrites {
+				wa = b.write.addrs[i : i+limit]
 			}
-		}
-		switch b.read.addrs[i] {
-		case base:
-			b.C.ReadSetHits++
-			copy(out, b.read.word(i))
-		case mem.NilAddr:
-			// First touch: claim the slot and snapshot the arena word
-			// already sitting in dst.
-			b.read.addrs[i] = base
-			b.read.used[b.read.top] = int32(i)
-			b.read.top++
-			copy(b.read.word(i), out)
-		default:
-			// Foreign address in the slot: the overflow path, one word.
-			rWord, rst := b.readWordEntry(base)
-			if rst == Full {
-				// The caller rolls back here; uncount the words the
-				// word-at-a-time loop would never have reached.
-				b.C.Loads -= uint64(nWords - k - 1)
-				return Full
-			}
-			st = worse(st, rst)
-			copy(out, rWord)
-		}
-		if wData != nil {
-			for j := 0; j < mem.Word; j++ {
-				if wMarks[j] == fullMark {
-					out[j] = wData[j]
+			n := 1
+			for ; n < len(ra); n++ {
+				a := base + mem.Addr(n*mem.Word)
+				if hit && ra[n] != a || !hit && ra[n] != mem.NilAddr || wa != nil && wa[n] == a {
+					break
 				}
+			}
+			out := dst[k*mem.Word : (k+n)*mem.Word]
+			snap := r.buf[i*mem.Word : (i+n)*mem.Word]
+			if hit {
+				copy(out, snap)
+				hits += n
+			} else {
+				for j := 0; j < n; j++ {
+					r.addrs[i+j] = base + mem.Addr(j*mem.Word)
+					r.used[r.top] = int32(i + j)
+					r.top++
+				}
+				b.arena.ReadWords(base, out)
+				copy(snap, out)
+			}
+			k += n
+			i = (i + n) & int(r.mask)
+			continue
+		}
+		wst := b.loadWord(base, dst[k*mem.Word:(k+1)*mem.Word])
+		if wst == Full {
+			// The caller rolls back here; uncount the words the
+			// word-at-a-time loop would never have reached.
+			b.C.Loads -= uint64(nWords - k - 1)
+			b.C.ReadSetHits += uint64(hits)
+			return Full
+		}
+		st = worse(st, wst)
+		k++
+		i = (i + 1) & int(r.mask)
+	}
+	b.C.ReadSetHits += uint64(hits)
+	return st
+}
+
+// loadWord is LoadRange's one-word path: a whole-word Load of base into
+// out, without the Loads count the range has already taken.
+func (b *Buffer) loadWord(base mem.Addr, out []byte) Status {
+	wData, wMarks := b.writeEntry(base)
+	if wData != nil && allMarked8(wMarks) {
+		b.C.ReadSetHits++
+		copy(out, wData)
+		return OK
+	}
+	rWord, st := b.readWordEntry(base)
+	if st == Full {
+		return Full
+	}
+	copy(out, rWord)
+	if wData != nil {
+		for j := 0; j < mem.Word; j++ {
+			if wMarks[j] == fullMark {
+				out[j] = wData[j]
 			}
 		}
 	}
@@ -466,55 +515,13 @@ func (b *Buffer) LoadRange(p mem.Addr, dst []byte) Status {
 }
 
 // StoreRange performs a buffered write of len(src)/WORD consecutive words
-// at the word-aligned address p, claiming consecutive hash slots with a
-// slot cursor and splicing whole words (full marks set eight at a time).
+// at the word-aligned address p: one copy and one mark fill per slot run.
 func (b *Buffer) StoreRange(p mem.Addr, src []byte) Status {
 	nWords, ok := rangeGeometry(p, len(src))
 	if !ok {
 		return Misaligned
 	}
-	if nWords == 0 {
-		return OK
-	}
-	b.C.Stores += uint64(nWords)
-	st := OK
-	i := b.write.slot(p)
-	mask := int(b.write.mask)
-	for k := 0; k < nWords; k, i = k+1, (i+1)&mask {
-		base := p + mem.Addr(k*mem.Word)
-		in := src[k*mem.Word : (k+1)*mem.Word]
-		var data, marks []byte
-		switch b.write.addrs[i] {
-		case base:
-			data, marks = b.write.word(i), b.write.markWord(i)
-		case mem.NilAddr:
-			b.write.addrs[i] = base
-			b.write.used[b.write.top] = int32(i)
-			b.write.top++
-			data, marks = b.write.word(i), b.write.markWord(i)
-		default:
-			// Foreign address in the slot: the overflow path, one word.
-			if e := b.findWriteOv(base); e != nil {
-				data, marks = e.data[:], e.mark[:]
-			} else {
-				b.C.Conflicts++
-				if len(b.writeOv) >= b.ovCap {
-					// The caller rolls back here; uncount the words the
-					// word-at-a-time loop would never have reached.
-					b.C.Stores -= uint64(nWords - k - 1)
-					return Full
-				}
-				b.writeOv = append(b.writeOv, ovEntry{base: base})
-				e := &b.writeOv[len(b.writeOv)-1]
-				data, marks = e.data[:], e.mark[:]
-				b.mustStop = true
-				st = Conflict
-			}
-		}
-		copy(data, in)
-		binary.LittleEndian.PutUint64(marks, onesWord)
-	}
-	return st
+	return b.storeWalk(p, nWords, src, 0)
 }
 
 // StoreFill performs a buffered write of nWords copies of the word v at the
@@ -524,45 +531,61 @@ func (b *Buffer) StoreFill(p mem.Addr, nWords int, v uint64) Status {
 	if nWords < 0 || !mem.Aligned(p, mem.Word) {
 		return Misaligned
 	}
+	return b.storeWalk(p, nWords, nil, v)
+}
+
+// storeWalk is the slot-run walk behind StoreRange (word k is src's k-th
+// word) and StoreFill (src is nil and every word is v). A run is a maximal
+// stretch of slots that hold their own word or are empty; empty ones are
+// claimed on the way. Foreign slots go one word at a time to the overflow
+// buffer.
+func (b *Buffer) storeWalk(p mem.Addr, nWords int, src []byte, v uint64) Status {
 	if nWords == 0 {
 		return OK
 	}
 	b.C.Stores += uint64(nWords)
+	w := &b.write
 	st := OK
-	i := b.write.slot(p)
-	mask := int(b.write.mask)
-	for k := 0; k < nWords; k, i = k+1, (i+1)&mask {
+	i := w.slot(p)
+	for k := 0; k < nWords; {
 		base := p + mem.Addr(k*mem.Word)
-		var data, marks []byte
-		switch b.write.addrs[i] {
-		case base:
-			data, marks = b.write.word(i), b.write.markWord(i)
-		case mem.NilAddr:
-			b.write.addrs[i] = base
-			b.write.used[b.write.top] = int32(i)
-			b.write.top++
-			data, marks = b.write.word(i), b.write.markWord(i)
-		default:
-			// Foreign address in the slot: the overflow path, one word.
-			if e := b.findWriteOv(base); e != nil {
-				data, marks = e.data[:], e.mark[:]
-			} else {
-				b.C.Conflicts++
-				if len(b.writeOv) >= b.ovCap {
-					// The caller rolls back here; uncount the words the
-					// word-at-a-time loop would never have reached.
-					b.C.Stores -= uint64(nWords - k - 1)
-					return Full
-				}
-				b.writeOv = append(b.writeOv, ovEntry{base: base})
-				e := &b.writeOv[len(b.writeOv)-1]
-				data, marks = e.data[:], e.mark[:]
-				b.mustStop = true
-				st = Conflict
+		n := 0
+		for limit := w.runLimit(i, k, nWords); n < limit; n++ {
+			a := base + mem.Addr(n*mem.Word)
+			if occ := w.addrs[i+n]; occ == mem.NilAddr {
+				w.addrs[i+n] = a
+				w.used[w.top] = int32(i + n)
+				w.top++
+			} else if occ != a {
+				break
 			}
 		}
-		binary.LittleEndian.PutUint64(data, v)
-		binary.LittleEndian.PutUint64(marks, onesWord)
+		var data, marks []byte
+		if n > 0 {
+			data = w.buf[i*mem.Word : (i+n)*mem.Word]
+			marks = w.mark[i*mem.Word : (i+n)*mem.Word]
+		} else if e := b.findWriteOv(base); e != nil {
+			// Foreign address in the slot: the overflow path, one word.
+			data, marks, n = e.data[:], e.mark[:], 1
+		} else {
+			var wst Status
+			if data, marks, wst = b.parkWrite(base); wst == Full {
+				// The caller rolls back here; uncount the words the
+				// word-at-a-time loop would never have reached.
+				b.C.Stores -= uint64(nWords - k - 1)
+				return Full
+			}
+			st = worse(st, wst)
+			n = 1
+		}
+		if src != nil {
+			copy(data, src[k*mem.Word:])
+		} else {
+			fillWords(data, v)
+		}
+		setFullMarks(marks)
+		k += n
+		i = (i + n) & int(w.mask)
 	}
 	return st
 }

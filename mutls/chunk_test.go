@@ -269,13 +269,14 @@ func TestAdaptiveDeterministicSchedule(t *testing.T) {
 // small for the static split's chunks, every static speculation
 // overflow-rolls-back, while an adaptive policy with a matching pressure
 // threshold shrinks chunks until they fit and recovers commits with far
-// fewer rollbacks. (Virtual runtimes are not compared: they depend on
-// real-time fork availability and are too noisy under parallel tests.)
+// fewer rollbacks. Both runs use one speculative CPU under virtual timing,
+// so whether a fork finds an idle CPU never depends on real time and the
+// commit and rollback counts are the same on every run.
 func TestAdaptiveShrinksUnderBufferPressure(t *testing.T) {
 	const n = 4096
 	run := func(ck mutls.Chunker) (mutls.Cost, int, int, int64) {
 		rt, err := mutls.New(mutls.Options{
-			CPUs: 4, CollectStats: true, HeapBytes: 1 << 20,
+			CPUs: 1, CollectStats: true, HeapBytes: 1 << 20,
 			Buffering: mutls.Buffering{LogWords: 5, OverflowCap: 8},
 		})
 		if err != nil {
